@@ -108,7 +108,7 @@ BENCHMARK(BM_Memchr)->Args({3, 1});
 
 /// Pre-benchmark correctness gate: every algorithm must enumerate the
 /// exact same (pos, pattern) match sequence on the bench text -- the
-/// minimal-end contract all speed tricks (skip loops, plane probes, the
+/// minimal-end contract all speed tricks (skip loops, bitmap probes, the
 /// hoisted FindPattern memcmp verify) must preserve. A silent candidate
 /// reorder would make the timing columns compare different work.
 void CrossCheckMatchSequences() {

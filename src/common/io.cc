@@ -689,7 +689,6 @@ void SlidingWindow::Fill() {
 
 void SlidingWindow::SlideTo(uint64_t new_base) {
   if (new_base <= base_) return;
-  ++epoch_;
   uint64_t evict_end = std::min<uint64_t>(new_base, base_ + size_);
   if (evict_fn_ && evict_end > base_) {
     evict_fn_(base_, std::string_view(buf_.data(),
@@ -744,7 +743,6 @@ size_t SlidingWindow::Ensure(uint64_t pos, size_t len) {
     std::vector<char> nbuf(new_cap);
     std::memcpy(nbuf.data(), buf_.data(), size_);
     buf_.swap(nbuf);
-    ++epoch_;
     max_capacity_ = std::max(max_capacity_, buf_.size());
   }
   if (keep_from > base_) SlideTo(keep_from);

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/strings.h"
-#include "simd/bitmap_plane.h"
 #include "simd/simd.h"
 
 namespace smpx::core {
@@ -65,7 +64,6 @@ class PrefilterSession::Impl {
         stats_(stats != nullptr ? stats : &local_stats_),
         opts_(opts),
         interned_(tables.interned_dispatch),
-        use_plane_(tables.use_bitmap_plane && simd::PlaneEnabled()),
         suspendable_(in == nullptr),
         final_input_(in != nullptr),
         mq_sinks_(std::move(query_sinks)),
@@ -424,53 +422,6 @@ class PrefilterSession::Impl {
     return Status::Ok();
   }
 
-  /// Re-keys the shared plane to the current resident span: cheap when
-  /// nothing changed (key comparison keeps every memoized lane), and any
-  /// intervening View/Ensure/RefillAt may have slid, grown, or extended
-  /// the window -- which is why every plane read re-binds first. Slides
-  /// and reallocs bump win_.epoch() and invalidate; append-only refills
-  /// keep the lanes.
-  void BindPlane() {
-    // Engine-side key cache: the common case (nothing slid or grew since
-    // the last plane read) is decided on three integer compares without
-    // materializing the span or entering Bind's own key check.
-    if (win_.epoch() == bound_epoch_ && win_.base() == bound_base_ &&
-        win_.limit() == bound_end_) {
-      return;
-    }
-    bound_epoch_ = win_.epoch();
-    bound_base_ = win_.base();
-    bound_end_ = win_.limit();
-    std::string_view span = win_.Span(win_.base());
-    plane_.Bind(span.data(), span.size(), win_.base(), win_.epoch());
-  }
-
-  /// The engine's structural scans, through the plane when enabled (the
-  /// bytes at absolute position `abs` must be the resident span [p, p+len)).
-  size_t ScanFindByte(const char* p, size_t len, uint64_t abs,
-                      unsigned char c) {
-    if (!use_plane_) return simd::FindByte(p, len, c);
-    BindPlane();
-    return plane_.FindByte(abs, len, c);
-  }
-  size_t ScanFindAny(const char* p, size_t len, uint64_t abs,
-                     const simd::ByteSet& set) {
-    if (!use_plane_) return simd::FindAny(p, len, set);
-    BindPlane();
-    return plane_.FindAny(abs, len, set);
-  }
-  size_t ScanFindPattern(const char* p, size_t len, uint64_t abs,
-                         std::string_view term) {
-    // Terminator patterns ("-->", "?>", "]]>") are construct-local pair
-    // classes nothing else consumes; only window-scale scans amortize the
-    // plane's chunk fills. Results are identical either way.
-    if (!use_plane_ || len < simd::BitmapPlane::kFillChunk) {
-      return simd::FindPattern(p, len, term);
-    }
-    BindPlane();
-    return plane_.FindPattern(abs, len, term);
-  }
-
   const RuntimeTables& tables_;
   FeedStream feed_;
   SlidingWindow win_;
@@ -479,13 +430,8 @@ class PrefilterSession::Impl {
   RunStats local_stats_;
   EngineOptions opts_;
   const bool interned_;
-  const bool use_plane_;
   const bool suspendable_;
   bool final_input_;
-  simd::BitmapPlane plane_;
-  uint64_t bound_epoch_ = ~uint64_t{0};  // BindPlane key cache
-  uint64_t bound_base_ = ~uint64_t{0};
-  uint64_t bound_end_ = ~uint64_t{0};
 
   int q_ = 0;
   uint64_t cursor_ = 0;        // next position to search from
@@ -531,7 +477,7 @@ uint64_t PrefilterSession::Impl::SkipPast(uint64_t from,
     Lock(p);
     std::string_view span = win_.View(p, tn);
     if (span.size() < tn) return win_.limit() + tn;  // unterminated
-    const size_t hit = ScanFindPattern(span.data(), span.size(), p, term);
+    const size_t hit = simd::FindPattern(span.data(), span.size(), term);
     if (hit != span.size()) return p + hit + tn;
     // Keep tn-1 tail bytes resident so a straddling terminator is seen
     // (span.size() >= tn here -- shorter spans returned above).
@@ -557,8 +503,8 @@ uint64_t PrefilterSession::Impl::SkipDoctype(uint64_t from) {
     size_t r = 0;
     bool restarted = false;
     while (r < span.size()) {
-      const size_t hit = r + ScanFindAny(span.data() + r, span.size() - r,
-                                         p + r, kStructural);
+      const size_t hit =
+          r + simd::FindAny(span.data() + r, span.size() - r, kStructural);
       if (hit == span.size()) break;  // nothing structural in this span
       const char hc = span[hit];
       if (hc == '[') {
@@ -581,8 +527,8 @@ uint64_t PrefilterSession::Impl::SkipDoctype(uint64_t from) {
           Lock(p);  // keep the whole construct resident in push mode
           std::string_view qs = win_.RefillAt(q);
           if (qs.empty()) return win_.limit() + 1;  // unterminated literal
-          const size_t e = ScanFindByte(qs.data(), qs.size(), q,
-                                        static_cast<unsigned char>(hc));
+          const size_t e = simd::FindByte(qs.data(), qs.size(),
+                                          static_cast<unsigned char>(hc));
           if (e != qs.size()) {
             q += e + 1;
             break;
@@ -950,8 +896,8 @@ Status PrefilterSession::Impl::HandleMatch(uint64_t pos, int* result) {
                                 std::to_string(pos));
     }
     static constexpr simd::ByteSet kTagEnd(">\"'");
-    const size_t hit = r + ScanFindAny(span.data() + r, span.size() - r,
-                                       pos + r, kTagEnd);
+    const size_t hit =
+        r + simd::FindAny(span.data() + r, span.size() - r, kTagEnd);
     if (hit == span.size()) {
       r = span.size();
       continue;
@@ -971,9 +917,8 @@ Status PrefilterSession::Impl::HandleMatch(uint64_t pos, int* result) {
         return Status::ParseError("unterminated attribute at offset " +
                                   std::to_string(pos));
       }
-      const size_t end = ScanFindByte(span.data() + r, span.size() - r,
-                                      pos + r,
-                                      static_cast<unsigned char>(qc));
+      const size_t end = simd::FindByte(span.data() + r, span.size() - r,
+                                        static_cast<unsigned char>(qc));
       if (end != span.size() - r) {
         r += end + 1;
         break;
@@ -1178,17 +1123,7 @@ PrefilterSession::Impl::Step PrefilterSession::Impl::Drive() {
         } else {
           ++stats_->cw_searches;
         }
-        strmatch::Match m;
-        if (use_plane_) {
-          // The view's end is the resident-span end (View returns the
-          // maximal view), which is exactly the plane binding's end -- the
-          // invariant the matchers' pair-probe tail masking relies on.
-          BindPlane();
-          strmatch::PlaneContext ctx{&plane_, cursor_};
-          m = st.matcher->Search(view, 0, &stats_->search, &ctx);
-        } else {
-          m = st.matcher->Search(view, 0, &stats_->search);
-        }
+        strmatch::Match m = st.matcher->Search(view, 0, &stats_->search);
         if (m.found()) {
           uint64_t pos = cursor_ + m.pos;
           scan_hit_end_ = false;

@@ -130,11 +130,6 @@ struct BoundaryIndexOptions {
   uint64_t max_entries = 1 << 20;
   /// See parallel::SpeculativeResolver::Options.
   size_t max_candidate_states = 4;
-  /// Routes the index-build boundary scan through a simd::BitmapPlane over
-  /// the document (classify once, bit-walk everywhere). Throughput only;
-  /// the entries are identical either way. Gated additionally on the
-  /// process-wide simd::PlaneEnabled().
-  bool use_bitmap_plane = false;
   /// Rolling-buffer size for the chunked (InputSource) build overload:
   /// peak resident memory of that path is O(chunk_bytes + window), never
   /// O(document). Ignored by the in-memory overload.

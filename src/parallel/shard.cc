@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "simd/bitmap_plane.h"
 #include "simd/simd.h"
 
 namespace smpx::parallel {
@@ -21,28 +20,19 @@ namespace {
 // ShardedRun detects and repairs by re-running -- correctness never
 // depends on the two scanners agreeing, only throughput does.
 
-/// Structural scan context over one contiguous document. With the plane
-/// (default), a local BitmapPlane bound to the whole doc memoizes every
-/// byte class the scan touches -- the '<' candidate lane, the tag-end and
-/// DOCTYPE any-of lanes, the comment/PI pair lanes -- so each region pass
-/// classifies its windows once instead of per helper call. With the plane
-/// disabled the primitives fall back to the per-call kernels; both paths
-/// enumerate identical positions (the differential suites assert it).
+/// Structural scan context over one contiguous document: the '<'
+/// candidate scan keeps its current 64-byte bitmap across calls
+/// (simd::MaskScanner), the other primitives run the per-call kernels.
 /// One scanner per scan call: region workers on the pool each build their
-/// own (the plane is not thread-safe).
+/// own (the mask cache is not thread-safe).
 class StructScanner {
  public:
-  StructScanner(std::string_view doc, bool use_plane)
-      : doc_(doc),
-        use_plane_(use_plane && simd::PlaneEnabled() && !doc.empty()),
-        open_scan_(doc.data(), doc.size(), '<') {
-    if (use_plane_) plane_.Bind(doc.data(), doc.size(), /*origin=*/0);
-  }
+  explicit StructScanner(std::string_view doc)
+      : doc_(doc), open_scan_(doc.data(), doc.size(), '<') {}
 
   /// Next '<' at or after `pos`; doc.size() when none.
   size_t NextOpen(size_t pos) {
     if (pos >= doc_.size()) return doc_.size();
-    if (use_plane_) return pos + plane_.FindByte(pos, doc_.size() - pos, '<');
     return open_scan_.Next(pos);
   }
 
@@ -124,27 +114,20 @@ class StructScanner {
   // exactly on doc.size()).
   size_t FindByteAt(size_t from, unsigned char c) {
     if (from >= doc_.size()) return doc_.size();
-    if (use_plane_) return from + plane_.FindByte(from, doc_.size() - from, c);
     return from + simd::FindByte(doc_.data() + from, doc_.size() - from, c);
   }
   size_t FindAnyAt(size_t from, const simd::ByteSet& set) {
     if (from >= doc_.size()) return doc_.size();
-    if (use_plane_) return from + plane_.FindAny(from, doc_.size() - from, set);
     return from + simd::FindAny(doc_.data() + from, doc_.size() - from, set);
   }
   size_t FindPatternAt(size_t from, std::string_view term) {
     if (from >= doc_.size()) return doc_.size();
-    if (use_plane_) {
-      return from + plane_.FindPattern(from, doc_.size() - from, term);
-    }
     return from +
            simd::FindPattern(doc_.data() + from, doc_.size() - from, term);
   }
 
   std::string_view doc_;
-  const bool use_plane_;
-  simd::MaskScanner open_scan_;  // kernel-path '<' scan (plane off)
-  simd::BitmapPlane plane_;
+  simd::MaskScanner open_scan_;
 };
 
 constexpr uint64_t kNoPos = ~uint64_t{0};
@@ -175,14 +158,14 @@ struct RegionSummary {
 /// an unknown absolute depth. Construct skips use the full document, so a
 /// construct straddling `end` is consumed completely and resume_pos tells
 /// the fix-up how far this region's view actually reached.
-RegionSummary ScanRegion(std::string_view doc, uint64_t begin, uint64_t end,
-                         bool use_plane) {
+RegionSummary ScanRegion(std::string_view doc, uint64_t begin,
+                         uint64_t end) {
   RegionSummary sum;
   sum.first_open.assign(static_cast<size_t>(kMaxRelDepth + 2), kNoPos);
   int64_t depth = 0;
   size_t pos = static_cast<size_t>(begin);
   const size_t stop = static_cast<size_t>(end);
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < stop) {
     size_t t = sc.NextOpen(pos);
     if (t >= stop) {
@@ -233,11 +216,10 @@ RegionSummary ScanRegion(std::string_view doc, uint64_t begin, uint64_t end,
 /// read -- the early-exit the serial scanner gets for free. `scanned`
 /// accumulates the bytes consumed.
 uint64_t FirstTopLevelOpenAt(std::string_view doc, uint64_t begin,
-                             int64_t depth, uint64_t* scanned,
-                             bool use_plane) {
+                             int64_t depth, uint64_t* scanned) {
   size_t pos = static_cast<size_t>(begin);
   uint64_t found = kNoPos;
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < doc.size()) {
     size_t t = sc.NextOpen(pos);
     if (t == doc.size()) {
@@ -313,8 +295,7 @@ bool SameRuntimeBehavior(const core::RuntimeTables& t, int a, int b) {
 }  // namespace
 
 std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
-                                             size_t max_splits,
-                                             bool use_plane) {
+                                             size_t max_splits) {
   std::vector<uint64_t> splits;
   if (max_splits == 0 || doc.size() < 2) return splits;
   const size_t stride = doc.size() / (max_splits + 1);
@@ -323,7 +304,7 @@ std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
   size_t pos = 0;
   size_t depth = 0;        // number of currently open elements
   size_t target_idx = 1;   // next split target = target_idx * stride
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < doc.size() && splits.size() < max_splits) {
     size_t t = sc.NextOpen(pos);
     if (t == doc.size()) break;
@@ -361,13 +342,12 @@ std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
 }
 
 uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
-                             uint64_t end, int64_t depth_at_begin,
-                             bool use_plane) {
+                             uint64_t end, int64_t depth_at_begin) {
   uint64_t count = 0;
   int64_t depth = depth_at_begin;
   size_t pos = static_cast<size_t>(begin);
   const size_t stop = static_cast<size_t>(std::min<uint64_t>(end, doc.size()));
-  StructScanner sc(doc, use_plane);
+  StructScanner sc(doc);
   while (pos < stop) {
     size_t t = sc.NextOpen(pos);
     if (t >= stop) break;
@@ -400,7 +380,7 @@ uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
 
 std::vector<uint64_t> FindTopLevelBoundariesParallel(
     std::string_view doc, size_t max_splits, ThreadPool* pool,
-    uint64_t* scanned_bytes, bool use_plane) {
+    uint64_t* scanned_bytes) {
   if (scanned_bytes != nullptr) *scanned_bytes = 0;
   std::vector<uint64_t> splits;
   if (max_splits == 0 || doc.size() < 2) return splits;
@@ -410,7 +390,7 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
     // A one-worker wave degenerates to a sequential whole-document scan;
     // the serial scanner is strictly better (it stops at the last chosen
     // boundary).
-    splits = FindTopLevelBoundaries(doc, max_splits, use_plane);
+    splits = FindTopLevelBoundaries(doc, max_splits);
     if (scanned_bytes != nullptr) {
       *scanned_bytes =
           splits.size() == max_splits ? splits.back() : doc.size();
@@ -429,10 +409,10 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
   auto region_begin = [stride](size_t j) { return stride * j; };
   auto region_end = [stride](size_t j) { return stride * (j + 1); };
   std::vector<RegionSummary> sums(interior);
-  pool->RunAndWait(interior, [&doc, &sums, &region_begin, &region_end,
-                              use_plane](size_t j) {
-    sums[j] = ScanRegion(doc, region_begin(j), region_end(j), use_plane);
-  });
+  pool->RunAndWait(interior,
+                   [&doc, &sums, &region_begin, &region_end](size_t j) {
+                     sums[j] = ScanRegion(doc, region_begin(j), region_end(j));
+                   });
   if (scanned_bytes != nullptr) {
     for (size_t j = 0; j < interior; ++j) {
       *scanned_bytes += sums[j].resume_pos - region_begin(j);
@@ -452,7 +432,7 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
     uint64_t e = region_end(j);
     if (pos >= e) continue;
     if (pos > b) {
-      sums[j] = ScanRegion(doc, pos, e, use_plane);
+      sums[j] = ScanRegion(doc, pos, e);
       if (scanned_bytes != nullptr) {
         *scanned_bytes += sums[j].resume_pos - pos;
       }
@@ -480,8 +460,7 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
   if (target_idx <= max_splits) {
     uint64_t begin = std::max<uint64_t>(pos, region_begin(interior));
     if (begin < doc.size()) {
-      uint64_t hit =
-          FirstTopLevelOpenAt(doc, begin, depth, scanned_bytes, use_plane);
+      uint64_t hit = FirstTopLevelOpenAt(doc, begin, depth, scanned_bytes);
       if (hit != kNoPos) splits.push_back(hit);
     }
   }
@@ -900,11 +879,8 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
   std::vector<uint64_t> bounds;
   if (max_shards > 1) {
     bounds = pool->size() > 1
-                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool,
-                                                  nullptr,
-                                                  tables.use_bitmap_plane)
-                 : FindTopLevelBoundaries(doc, max_shards - 1,
-                                          tables.use_bitmap_plane);
+                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool)
+                 : FindTopLevelBoundaries(doc, max_shards - 1);
   }
 
   SpeculativeResolver::Options ropts;
@@ -1022,11 +998,8 @@ Status MultiQueryShardedRun(const core::RuntimeTables& tables,
   std::vector<uint64_t> bounds;
   if (max_shards > 1) {
     bounds = pool->size() > 1
-                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool,
-                                                  nullptr,
-                                                  tables.use_bitmap_plane)
-                 : FindTopLevelBoundaries(doc, max_shards - 1,
-                                          tables.use_bitmap_plane);
+                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool)
+                 : FindTopLevelBoundaries(doc, max_shards - 1);
   }
 
   SpeculativeResolver::Options ropts;

@@ -299,21 +299,6 @@ std::string TupleKey(const std::vector<int>& tuple,
   return key;
 }
 
-Status BuildMatcher(DfaState* state, const core::TableOptions& topts) {
-  state->matcher = strmatch::MakeMatcher(state->keywords, topts.algorithm);
-  if (state->matcher == nullptr) {
-    state->matcher =
-        strmatch::MakeMatcher(state->keywords, strmatch::Algorithm::kAuto);
-  }
-  if (state->matcher == nullptr) {
-    return Status::Internal("failed to build matcher for product state");
-  }
-  state->matcher->set_skip_mode(topts.disable_matcher_skip_loops
-                                    ? strmatch::SkipLoopMode::kClassic
-                                    : topts.matcher_skip_mode);
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<MultiQuery> MultiQuery::Compile(
@@ -332,11 +317,6 @@ Result<MultiQuery> MultiQuery::Compile(
     return Status::InvalidArgument(
         "multi-query tables require interned dispatch "
         "(TableOptions::use_map_dispatch must be false)");
-  }
-  if (opts.compile.tables.shared_vocabulary) {
-    return Status::InvalidArgument(
-        "the shared-vocabulary ablation breaks the product construction "
-        "(component keywords must stay 1:1 with transitions)");
   }
 
   MultiQuery mq;
@@ -692,7 +672,7 @@ Result<MultiQuery> MultiQuery::Compile(
       st.max_keyword = std::max(st.max_keyword, k.size());
     }
     if (!st.keywords.empty()) {
-      SMPX_RETURN_IF_ERROR(BuildMatcher(&st, opts.compile.tables));
+      SMPX_RETURN_IF_ERROR(core::BuildStateMatcher(&st, opts.compile.tables));
       if (st.keywords.size() == 1) {
         ++tables.num_bm_states;
       } else {

@@ -57,25 +57,7 @@ uint64_t Pair64Neon(const unsigned char* p, size_t delta, unsigned char a,
   return mask;
 }
 
-void EqFillNeon(const unsigned char* p, size_t nblocks, unsigned char c,
-                uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) out[b] = Eq64Neon(p + kBlock * b, c);
-}
-
-void AnyFillNeon(const unsigned char* p, size_t nblocks, const ByteSet& set,
-                 uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) out[b] = Any64Neon(p + kBlock * b, set);
-}
-
-void PairFillNeon(const unsigned char* p, size_t nblocks, size_t delta,
-                  unsigned char a, unsigned char b, uint64_t* out) {
-  for (size_t k = 0; k < nblocks; ++k) {
-    out[k] = Pair64Neon(p + kBlock * k, delta, a, b);
-  }
-}
-
-constexpr Kernels kNeon = {Isa::kNeon,  Eq64Neon,    Any64Neon,   Pair64Neon,
-                           EqFillNeon,  AnyFillNeon, PairFillNeon};
+constexpr Kernels kNeon = {Isa::kNeon, Eq64Neon, Any64Neon, Pair64Neon};
 
 }  // namespace
 

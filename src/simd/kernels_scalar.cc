@@ -39,28 +39,8 @@ uint64_t Pair64Scalar(const unsigned char* p, size_t delta, unsigned char a,
   return mask;
 }
 
-void EqFillScalar(const unsigned char* p, size_t nblocks, unsigned char c,
-                  uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) out[b] = Eq64Scalar(p + kBlock * b, c);
-}
-
-void AnyFillScalar(const unsigned char* p, size_t nblocks, const ByteSet& set,
-                   uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) {
-    out[b] = Any64Scalar(p + kBlock * b, set);
-  }
-}
-
-void PairFillScalar(const unsigned char* p, size_t nblocks, size_t delta,
-                    unsigned char a, unsigned char b, uint64_t* out) {
-  for (size_t k = 0; k < nblocks; ++k) {
-    out[k] = Pair64Scalar(p + kBlock * k, delta, a, b);
-  }
-}
-
-constexpr Kernels kScalar = {Isa::kScalar,  Eq64Scalar,    Any64Scalar,
-                             Pair64Scalar,  EqFillScalar,  AnyFillScalar,
-                             PairFillScalar};
+constexpr Kernels kScalar = {Isa::kScalar, Eq64Scalar, Any64Scalar,
+                             Pair64Scalar};
 
 }  // namespace
 

@@ -62,49 +62,7 @@ uint64_t Pair64Sse(const unsigned char* p, size_t delta, unsigned char a,
   return mask;
 }
 
-void EqFillSse(const unsigned char* p, size_t nblocks, unsigned char c,
-               uint64_t* out) {
-  const __m128i needle = _mm_set1_epi8(static_cast<char>(c));
-  for (size_t b = 0; b < nblocks; ++b) {
-    const unsigned char* q = p + kBlock * b;
-    uint64_t mask = 0;
-    for (size_t v = 0; v < kBlock / 16; ++v) {
-      __m128i block =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + 16 * v));
-      mask |= MoveMask16(_mm_cmpeq_epi8(block, needle)) << (16 * v);
-    }
-    out[b] = mask;
-  }
-}
-
-void AnyFillSse(const unsigned char* p, size_t nblocks, const ByteSet& set,
-                uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) out[b] = Any64Sse(p + kBlock * b, set);
-}
-
-void PairFillSse(const unsigned char* p, size_t nblocks, size_t delta,
-                 unsigned char a, unsigned char b, uint64_t* out) {
-  const __m128i na = _mm_set1_epi8(static_cast<char>(a));
-  const __m128i nb = _mm_set1_epi8(static_cast<char>(b));
-  for (size_t k = 0; k < nblocks; ++k) {
-    const unsigned char* q = p + kBlock * k;
-    uint64_t mask = 0;
-    for (size_t v = 0; v < kBlock / 16; ++v) {
-      __m128i lo =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + 16 * v));
-      __m128i hi = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(q + 16 * v + delta));
-      __m128i hits =
-          _mm_and_si128(_mm_cmpeq_epi8(lo, na), _mm_cmpeq_epi8(hi, nb));
-      mask |= MoveMask16(hits) << (16 * v);
-    }
-    out[k] = mask;
-  }
-}
-
-constexpr Kernels kSseTable = {SMPX_SSE_ISA, Eq64Sse,    Any64Sse,
-                               Pair64Sse,    EqFillSse,  AnyFillSse,
-                               PairFillSse};
+constexpr Kernels kSseTable = {SMPX_SSE_ISA, Eq64Sse, Any64Sse, Pair64Sse};
 
 }  // namespace
 

@@ -10,8 +10,8 @@
 //
 //   scalar  per-byte reference loops; the oracle every other tier is
 //           differentially verified against (bit-identical by construction)
-//   swar    8-bytes-per-word scans built on strmatch/byte_scan.h; always
-//           available, the portable performance fallback
+//   swar    8-bytes-per-word scans; always available, the portable
+//           performance fallback
 //   sse2    16-byte vectors (x86-64 baseline)
 //   sse42   the same 16-byte kernels compiled for the SSE4.2 feature level
 //   avx2    32-byte vectors
@@ -76,17 +76,6 @@ struct Kernels {
   /// [p+delta, p+delta+64) readable.
   uint64_t (*pair64)(const unsigned char* p, size_t delta, unsigned char a,
                      unsigned char b);
-  /// Bulk stage-1 passes behind simd::BitmapPlane: out[b] = the matching
-  /// block kernel over p + 64*b for b in [0, nblocks). One dispatch
-  /// indirection per chunk instead of per block; each tier's loop inlines
-  /// its own block kernel. eq/any require [p, p + 64*nblocks) readable,
-  /// pair additionally delta bytes beyond that.
-  void (*eq_fill)(const unsigned char* p, size_t nblocks, unsigned char c,
-                  uint64_t* out);
-  void (*any_fill)(const unsigned char* p, size_t nblocks, const ByteSet& set,
-                   uint64_t* out);
-  void (*pair_fill)(const unsigned char* p, size_t nblocks, size_t delta,
-                    unsigned char a, unsigned char b, uint64_t* out);
 };
 
 namespace detail {

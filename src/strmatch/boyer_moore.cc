@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "simd/simd.h"
-#include "strmatch/byte_scan.h"
 
 namespace smpx::strmatch {
 namespace {
@@ -153,19 +152,11 @@ BoyerMooreMatcher::BoyerMooreMatcher(std::string pattern) {
 
 Match BoyerMooreMatcher::Search(std::string_view text, size_t from,
                                 SearchStats* stats) const {
-  return Search(text, from, stats, nullptr);
-}
-
-Match BoyerMooreMatcher::Search(std::string_view text, size_t from,
-                                SearchStats* stats,
-                                const PlaneContext* ctx) const {
   const std::string& p = patterns_[0];
   const size_t m = p.size();
   const size_t n = text.size();
   if (from > n || n - from < m) return {};
-  if (skip_mode_ != SkipLoopMode::kClassic) {
-    return SearchSkip(text, from, stats, ctx);
-  }
+  if (skip_loops_) return SearchSkip(text, from, stats);
 
   size_t i = from;  // current alignment: pattern start at text position i
   while (i + m <= n) {
@@ -191,20 +182,8 @@ Match BoyerMooreMatcher::Search(std::string_view text, size_t from,
   return {};
 }
 
-// Note on the bitmap plane: BM deliberately does NOT consult it. The probe
-// byte for tag keywords is '<', which occurs every ~25 bytes in
-// element-dense XML, so nearly every 64-byte block has hits and a bitmap
-// walk cannot skip anything -- it only adds bitmap loads and per-word
-// rechecks on top of the pair kernel's two loads + two compares per block.
-// And because each BM state searches a disjoint, monotonically-advancing
-// region, the per-call kernels classify each byte at most once already;
-// memoizing per-state pair classes in plane lanes was measured to cost
-// ~1.5 extra full-document classification passes for zero reuse. The
-// PlaneContext parameter stays for interface uniformity (Commentz-Walter
-// does profit from the shared '<' lead lane).
 Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
-                                    SearchStats* stats,
-                                    const PlaneContext* /*ctx*/) const {
+                                    SearchStats* stats) const {
   const std::string& p = patterns_[0];
   const size_t m = p.size();
   const size_t n = text.size();
@@ -213,13 +192,11 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
 
   // Skip loop: no occurrence can align unless its probe byte (the rarest
   // pattern byte, '<' for tag keywords) matches, so only probe-byte hits
-  // become candidate alignments. The hits are popped word-at-a-time (SWAR,
-  // byte_scan.h) or block-at-a-time (SIMD bitmaps, simd/simd.h) -- both
-  // enumerate candidates in ascending text order, so matches AND stats are
-  // tier-independent. Candidates below the BM-shift frontier `i` are
-  // dropped without a verify.
+  // become candidate alignments. The hits are popped block-at-a-time from
+  // the dispatched bitmaps (simd/simd.h), in ascending text order under
+  // every tier, so matches AND stats are tier-independent. Candidates below
+  // the BM-shift frontier `i` are dropped without a verify.
   const size_t kp = probe_pos_;
-  const unsigned char probe = static_cast<unsigned char>(p[kp]);
   size_t i = from;  // minimal admissible alignment (the shift frontier)
 
   // Right-to-left verify at alignment `a`; advances `i` past `a` via the
@@ -251,115 +228,39 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
     return false;
   };
 
-  if (pair_probe_) {
-    // Two-byte SWAR pair probe: a candidate alignment survives only when
-    // BOTH probe bytes match, one word-load + mask each. The second load
-    // never reads past the text: with lo/hi <= m-1, the last alignment's
-    // hi byte sits at (n - m) + hi <= n - 1.
-    const size_t lo = std::min(kp, probe2_pos_);
-    const size_t hi = std::max(kp, probe2_pos_);
-    const unsigned char b_lo = static_cast<unsigned char>(p[lo]);
-    const unsigned char b_hi = static_cast<unsigned char>(p[hi]);
-    const size_t delta = hi - lo;
-    const size_t scan_end = n - m + lo + 1;
-    size_t k = from + lo;
-    if (skip_mode_ == SkipLoopMode::kSimd) {
-      // Block-at-a-time pair probe. The full-block branch is in-bounds:
-      // k + 64 <= scan_end implies k + delta + 64 <= n - m + hi + 1 <= n.
-      const simd::Kernels& kn = simd::Active();
-      while (k < scan_end) {
-        size_t take = scan_end - k;
-        uint64_t hits;
-        if (take >= simd::kBlock) {
-          take = simd::kBlock;
-          hits = kn.pair64(ud + k, delta, b_lo, b_hi);
-        } else {
-          hits = simd::PairMaskTail(ud + k, n - k, delta, b_lo, b_hi) &
-                 simd::TakeMask(take);
-        }
-        while (hits != 0) {
-          size_t a = k + simd::NextSetBit(hits) - lo;
-          hits = simd::ClearLowestBit(hits);
-          if (a < i) continue;  // below the shift frontier
-          if (verify(a)) return {a, 0};
-        }
-        k += take;
-      }
-      if (stats != nullptr && n - m + 1 > i) {
-        ++stats->shifts;
-        stats->shift_chars += n - m + 1 - i;
-      }
-      return {};
+  // Probe positions s in [from + lo, n - m + lo]; alignment a = s - lo.
+  // The pair probe (long patterns) keeps a candidate only when BOTH probe
+  // bytes match, which multiplies the two densities. Its full-block loads
+  // stay in bounds: k + 64 <= scan_end implies
+  // k + delta + 64 <= n - m + hi + 1 <= n.
+  const size_t lo = pair_probe_ ? std::min(kp, probe2_pos_) : kp;
+  const size_t hi = pair_probe_ ? std::max(kp, probe2_pos_) : kp;
+  const unsigned char b_lo = static_cast<unsigned char>(p[lo]);
+  const unsigned char b_hi = static_cast<unsigned char>(p[hi]);
+  const size_t delta = hi - lo;
+  const size_t scan_end = n - m + lo + 1;
+  const simd::Kernels& kn = simd::Active();
+  size_t k = from + lo;
+  while (k < scan_end) {
+    size_t take = scan_end - k;
+    uint64_t hits;
+    if (take >= simd::kBlock) {
+      take = simd::kBlock;
+      hits = pair_probe_ ? kn.pair64(ud + k, delta, b_lo, b_hi)
+                         : kn.eq64(ud + k, b_lo);
+    } else if (pair_probe_) {
+      hits = simd::PairMaskTail(ud + k, n - k, delta, b_lo, b_hi) &
+             simd::TakeMask(take);
+    } else {
+      hits = simd::EqMaskTail(ud + k, take, b_lo);
     }
-    for (; k + 8 <= scan_end; k += 8) {
-      uint64_t hits =
-          detail::ByteEqMask(detail::LoadWord(d + k), b_lo) &
-          detail::ByteEqMask(detail::LoadWord(d + k + delta), b_hi);
-      while (hits != 0) {
-        size_t a = k + detail::LowestHitByte(hits) - lo;
-        hits = detail::ClearLowestHit(hits);
-        if (a < i) continue;  // below the shift frontier
-        if (verify(a)) return {a, 0};
-      }
-    }
-    for (; k < scan_end; ++k) {
-      if (static_cast<unsigned char>(d[k]) == b_lo &&
-          static_cast<unsigned char>(d[k + delta]) == b_hi) {
-        size_t a = k - lo;
-        if (a < i) continue;
-        if (verify(a)) return {a, 0};
-      }
-    }
-    if (stats != nullptr && n - m + 1 > i) {
-      ++stats->shifts;
-      stats->shift_chars += n - m + 1 - i;
-    }
-    return {};
-  }
-
-  // Scan probe positions s in [from + kp, n - m + kp]; alignment a = s - kp.
-  const size_t scan_end = n - m + kp + 1;
-  size_t k = from + kp;
-  if (skip_mode_ == SkipLoopMode::kSimd) {
-    const simd::Kernels& kn = simd::Active();
-    while (k < scan_end) {
-      size_t take = scan_end - k;
-      uint64_t hits;
-      if (take >= simd::kBlock) {
-        take = simd::kBlock;
-        hits = kn.eq64(ud + k, probe);
-      } else {
-        hits = simd::EqMaskTail(ud + k, take, probe);
-      }
-      while (hits != 0) {
-        size_t a = k + simd::NextSetBit(hits) - kp;
-        hits = simd::ClearLowestBit(hits);
-        if (a < i) continue;  // below the shift frontier
-        if (verify(a)) return {a, 0};
-      }
-      k += take;
-    }
-    if (stats != nullptr && n - m + 1 > i) {
-      ++stats->shifts;
-      stats->shift_chars += n - m + 1 - i;
-    }
-    return {};
-  }
-  for (; k + 8 <= scan_end; k += 8) {
-    uint64_t hits = detail::ByteEqMask(detail::LoadWord(d + k), probe);
     while (hits != 0) {
-      size_t a = k + detail::LowestHitByte(hits) - kp;
-      hits = detail::ClearLowestHit(hits);
+      size_t a = k + simd::NextSetBit(hits) - lo;
+      hits = simd::ClearLowestBit(hits);
       if (a < i) continue;  // below the shift frontier
       if (verify(a)) return {a, 0};
     }
-  }
-  for (; k < scan_end; ++k) {
-    if (static_cast<unsigned char>(d[k]) == probe) {
-      size_t a = k - kp;
-      if (a < i) continue;
-      if (verify(a)) return {a, 0};
-    }
+    k += take;
   }
   if (stats != nullptr && n - m + 1 > i) {
     ++stats->shifts;

@@ -20,8 +20,6 @@ class BoyerMooreMatcher : public Matcher {
 
   Match Search(std::string_view text, size_t from,
                SearchStats* stats) const override;
-  Match Search(std::string_view text, size_t from, SearchStats* stats,
-               const PlaneContext* ctx) const override;
 
   size_t min_length() const override { return patterns_[0].size(); }
   size_t max_length() const override { return patterns_[0].size(); }
@@ -29,16 +27,16 @@ class BoyerMooreMatcher : public Matcher {
     return patterns_;
   }
   std::string_view name() const override { return "BM"; }
-  void set_skip_mode(SkipLoopMode mode) override { skip_mode_ = mode; }
+  void set_skip_loops(bool enabled) override { skip_loops_ = enabled; }
 
  private:
-  Match SearchSkip(std::string_view text, size_t from, SearchStats* stats,
-                   const PlaneContext* ctx) const;
+  Match SearchSkip(std::string_view text, size_t from,
+                   SearchStats* stats) const;
 
   std::vector<std::string> patterns_;       // exactly one element
   std::array<int, 256> bad_char_;           // last occurrence index, -1 if none
   std::vector<size_t> good_suffix_;         // shift for mismatch at index j
-  SkipLoopMode skip_mode_ = SkipLoopMode::kSimd;  // rare-byte probe tier
+  bool skip_loops_ = true;                  // rare-byte probe fast path
   size_t probe_pos_ = 0;                    // offset of the rarest byte
   size_t probe2_pos_ = 0;                   // offset of the 2nd-rarest byte
   bool pair_probe_ = false;                 // use the two-byte pair probe

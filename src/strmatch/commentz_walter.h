@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "simd/simd.h"
 #include "strmatch/matcher.h"
 
 namespace smpx::strmatch {
@@ -51,8 +50,6 @@ class CommentzWalterMatcher : public Matcher {
 
   Match Search(std::string_view text, size_t from,
                SearchStats* stats) const override;
-  Match Search(std::string_view text, size_t from, SearchStats* stats,
-               const PlaneContext* ctx) const override;
 
   size_t min_length() const override { return trie_.wmin; }
   size_t max_length() const override { return trie_.wmax; }
@@ -60,11 +57,11 @@ class CommentzWalterMatcher : public Matcher {
     return patterns_;
   }
   std::string_view name() const override { return "CW"; }
-  void set_skip_mode(SkipLoopMode mode) override { skip_mode_ = mode; }
+  void set_skip_loops(bool enabled) override { skip_loops_ = enabled; }
 
  private:
-  Match SearchFast(std::string_view text, size_t from, SearchStats* stats,
-                   const PlaneContext* ctx) const;
+  Match SearchFast(std::string_view text, size_t from,
+                   SearchStats* stats) const;
 
   std::vector<std::string> patterns_;
   detail::ReverseTrie trie_;
@@ -88,20 +85,9 @@ class CommentzWalterMatcher : public Matcher {
   };
 
   bool fast_path_ = false;
-  SkipLoopMode skip_mode_ = SkipLoopMode::kSimd;  // candidate-scan tier
+  bool skip_loops_ = true;  // bitmap candidate scan (see set_skip_loops)
   char lead_ = 0;
   std::vector<ForwardTrieNode> fwd_;  // rooted at fwd_[0]'s lead child
-
-  // Plane-fed trie-verify vectorization: when every pattern is >= 2 bytes
-  // and the forward trie's lead node has <= 8 distinct children, a
-  // candidate whose *second* text byte is outside `second_set_` is doomed
-  // after exactly two trie steps. The plane's any(second_set_) lane kills
-  // such candidates in bulk before any trie node is touched; the kill
-  // accounts the identical stats verify would have (shift bookkeeping plus
-  // the two counted comparisons), so matches and SearchStats stay
-  // tier- and plane-independent.
-  bool precheck_ok_ = false;
-  simd::ByteSet second_set_;
 };
 
 /// Set-Horspool: same reversed trie, but shifts only by the bad-character

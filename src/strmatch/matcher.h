@@ -13,10 +13,6 @@
 #include <string_view>
 #include <vector>
 
-namespace smpx::simd {
-class BitmapPlane;
-}  // namespace smpx::simd
-
 namespace smpx::strmatch {
 
 /// Counters reproducing the paper's per-query measurement columns:
@@ -50,29 +46,6 @@ struct Match {
   bool found() const { return pos != npos; }
 };
 
-/// Candidate-scan implementation tiers for the skip-loop fast paths (BM,
-/// CW). All three produce identical matches AND identical SearchStats: the
-/// candidate order is ascending text position in every tier, and the
-/// verify/shift logic is shared, so the tiers differ only in how fast
-/// candidates are enumerated.
-enum class SkipLoopMode {
-  kClassic = 0,  ///< textbook scan loops (no candidate fast path)
-  kSwar = 1,     ///< 8-bytes-per-word probe loops (byte_scan.h)
-  kSimd = 2,     ///< dispatched 64-byte bitmap probes (simd/simd.h)
-};
-
-/// The caller's shared structural bitmap plane, offered to Search so the
-/// kSimd candidate probes read memoized class words instead of re-running
-/// kernels over the text. `abs_base` is the absolute position of
-/// text.data()[0] within the plane's binding (the plane must cover the
-/// whole text). Matchers are shared across threads, so the plane travels
-/// per call, never through matcher state; candidate order and stats are
-/// identical with or without it.
-struct PlaneContext {
-  simd::BitmapPlane* plane = nullptr;
-  uint64_t abs_base = 0;
-};
-
 /// A compiled set of patterns searchable in a text.
 ///
 /// Contract: Search returns an occurrence with the minimal *end* position
@@ -90,15 +63,6 @@ class Matcher {
   virtual Match Search(std::string_view text, size_t from,
                        SearchStats* stats) const = 0;
 
-  /// Plane-aware overload: algorithms with a kSimd fast path (BM, CW) read
-  /// their candidate probes from `ctx->plane` when given one; everyone else
-  /// ignores it. Matches and stats are identical to the 3-arg Search.
-  virtual Match Search(std::string_view text, size_t from, SearchStats* stats,
-                       const PlaneContext* ctx) const {
-    (void)ctx;
-    return Search(text, from, stats);
-  }
-
   /// Shortest / longest pattern lengths.
   virtual size_t min_length() const = 0;
   virtual size_t max_length() const = 0;
@@ -108,16 +72,14 @@ class Matcher {
   /// Algorithm name for reports ("BM", "CW", ...).
   virtual std::string_view name() const = 0;
 
-  /// Selects the candidate skip-loop tier (BM, CW). Default kSimd;
-  /// kClassic restores the classical textbook scan loops (ablation and
-  /// differential-testing baseline). No-op for algorithms without a fast
-  /// path.
-  virtual void set_skip_mode(SkipLoopMode mode) { (void)mode; }
-
-  /// Back-compat shim: `false` = kClassic, `true` = kSimd.
-  void set_skip_loops(bool enabled) {
-    set_skip_mode(enabled ? SkipLoopMode::kSimd : SkipLoopMode::kClassic);
-  }
+  /// Selects the candidate scan (BM, CW). Default true: candidates come
+  /// from the dispatched 64-byte bitmap probes (simd/simd.h), so the active
+  /// simd tier decides how fast they are enumerated. `false` restores the
+  /// classical textbook scan loops (ablation and differential-testing
+  /// baseline), which find the same matches but account shifts
+  /// differently. Across simd tiers, matches AND SearchStats are
+  /// identical. No-op for algorithms without a fast path.
+  virtual void set_skip_loops(bool enabled) { (void)enabled; }
 };
 
 /// Algorithm selector for MakeMatcher.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/io.h"
+#include "common/timer.h"
 #include "core/prefilter.h"
 #include "index/boundary_index.h"
 #include "index/cursor.h"
@@ -251,6 +252,43 @@ TEST(CliBatchTest, LowFdLimitBatchStillWritesEveryOutputFile) {
       ASSERT_TRUE(content.ok()) << fx.inputs[i];
       EXPECT_EQ(*content, SerialExpected(fx.docs[i])) << fx.inputs[i];
     }
+  }
+}
+
+/// Seconds printed in the first `time=` field of `err`; -1 when absent.
+double StatsTime(const std::string& err) {
+  const size_t p = err.find("time=");
+  if (p == std::string::npos) return -1;
+  return std::strtod(err.c_str() + p + 5, nullptr);
+}
+
+TEST(CliStatsTest, TimeIsAtMostTheWallTimeAroundTheExec) {
+  // --stats time= is the one timer enclosing compile and run. Adding a
+  // separate run timer to it counted the run twice.
+  std::string big = "<a>";
+  for (int i = 0; i < 400000; ++i) big += "<b>payload</b><c>drop</c>";
+  big += "</a>";
+  Fixture fx({big});
+  const std::string dir = ::testing::TempDir();
+  const std::string out = dir + "/smpx_cli_stats.xml";
+  const std::string queries = dir + "/smpx_cli_stats.queries";
+  ASSERT_TRUE(WriteStringToFile(queries, "/a/b#\n/a/c#\n").ok());
+  const std::string modes[] = {std::string("--paths \"") + kPaths + "\"",
+                               "--query-file \"" + queries + "\""};
+  for (const std::string& mode : modes) {
+    SCOPED_TRACE(mode);
+    WallTimer wall;
+    CliResult r = RunCli("--dtd \"" + fx.dtd_path + "\" --stats " + mode +
+                         fx.InputArgs() + " \"" + out + "\"");
+    const double wall_s = wall.Seconds();
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    const double t = StatsTime(r.err);
+    ASSERT_GT(t, 0) << r.err;
+    // time= prints three decimals; allow its rounding and nothing more.
+    EXPECT_LE(t - 0.0005, wall_s) << r.err;
+  }
+  for (const char* suffix : {".xml", ".q1.xml", ".q2.xml", ".queries"}) {
+    std::remove((dir + "/smpx_cli_stats" + suffix).c_str());
   }
 }
 

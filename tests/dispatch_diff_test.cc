@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include "core/prefilter.h"
-#include "simd/bitmap_plane.h"
 #include "simd/simd.h"
 #include "xml/tokenizer.h"
 #include "xmlgen/medline.h"
@@ -235,11 +234,13 @@ TEST(DispatchDiffTest, EveryIsaTierMatchesScalarByteForByte) {
   simd::SetIsa(saved);
 }
 
-// The SWAR and SIMD matcher skip-loop tiers enumerate identical candidate
-// sequences, so output and search stats must match exactly; the classical
-// loops (skip loops disabled) must still agree on output and semantic
-// counters (their shift accounting legitimately differs).
+// The matchers' candidate skip loops read the dispatched bitmaps, so every
+// simd tier enumerates the identical candidate sequence: output and all
+// search stats must match the best tier exactly. The classical loops (skip
+// loops disabled) must still agree on output and semantic counters (their
+// shift accounting legitimately differs).
 TEST(DispatchDiffTest, MatcherSkipModeTiersAgree) {
+  const simd::Isa saved = simd::ActiveIsa();
   xmlgen::MedlineOptions gen;
   gen.target_bytes = 512 << 10;
   std::string doc = xmlgen::GenerateMedline(gen);
@@ -248,138 +249,44 @@ TEST(DispatchDiffTest, MatcherSkipModeTiersAgree) {
       "/MedlineCitationSet/MedlineCitation/DateCompleted#");
   ASSERT_TRUE(paths.ok());
 
-  auto compile = [&](strmatch::SkipLoopMode mode, bool disable) {
+  auto compile = [&](bool disable) {
     CompileOptions opts;
-    opts.tables.matcher_skip_mode = mode;
     opts.tables.disable_matcher_skip_loops = disable;
     auto pf = Prefilter::Compile(xmlgen::MedlineDtd(), *paths, opts);
     EXPECT_TRUE(pf.ok()) << pf.status().ToString();
     return std::move(*pf);
   };
-  Prefilter simd_pf = compile(strmatch::SkipLoopMode::kSimd, false);
-  Prefilter swar_pf = compile(strmatch::SkipLoopMode::kSwar, false);
-  Prefilter classic_pf = compile(strmatch::SkipLoopMode::kSimd, true);
+  Prefilter skip_pf = compile(false);
+  Prefilter classic_pf = compile(true);
 
-  RunStats simd_stats, swar_stats, classic_stats;
-  auto out_simd = simd_pf.RunOnBuffer(doc, &simd_stats);
-  auto out_swar = swar_pf.RunOnBuffer(doc, &swar_stats);
-  auto out_classic = classic_pf.RunOnBuffer(doc, &classic_stats);
-  ASSERT_TRUE(out_simd.ok() && out_swar.ok() && out_classic.ok());
-  ASSERT_EQ(*out_simd, *out_swar);
-  ASSERT_EQ(*out_simd, *out_classic);
-  EXPECT_EQ(simd_stats.search.comparisons, swar_stats.search.comparisons);
-  EXPECT_EQ(simd_stats.search.shifts, swar_stats.search.shifts);
-  EXPECT_EQ(simd_stats.search.shift_chars, swar_stats.search.shift_chars);
-  EXPECT_EQ(simd_stats.matches, swar_stats.matches);
-  EXPECT_EQ(simd_stats.false_matches, swar_stats.false_matches);
-  EXPECT_EQ(simd_stats.bm_searches, swar_stats.bm_searches);
-  EXPECT_EQ(simd_stats.cw_searches, swar_stats.cw_searches);
-  EXPECT_EQ(simd_stats.matches, classic_stats.matches);
-  EXPECT_EQ(simd_stats.false_matches, classic_stats.false_matches);
-}
-
-// --- BitmapPlane on/off ------------------------------------------------------
-// The shared structural bitmap plane (TableOptions::use_bitmap_plane) is a
-// pure throughput change: classify-once-bit-walk must produce byte-identical
-// projections and identical statistics -- including matcher comparisons,
-// shifts, and shift_chars (the CW second-byte precheck does its own stats
-// bookkeeping for candidates it kills) -- against the per-call kernel path,
-// under every dispatch tier and window geometry.
-
-void ExpectPlaneParity(const Prefilter& on, const Prefilter& off,
-                       std::string_view doc, const EngineOptions& opts = {}) {
-  RunStats on_stats, off_stats;
-  auto out_on = on.RunOnBuffer(doc, &on_stats, opts);
-  auto out_off = off.RunOnBuffer(doc, &off_stats, opts);
-  ASSERT_TRUE(out_on.ok()) << out_on.status().ToString();
-  ASSERT_TRUE(out_off.ok()) << out_off.status().ToString();
-  ASSERT_EQ(*out_on, *out_off);
-  EXPECT_EQ(on_stats.matches, off_stats.matches);
-  EXPECT_EQ(on_stats.false_matches, off_stats.false_matches);
-  EXPECT_EQ(on_stats.scan_chars, off_stats.scan_chars);
-  EXPECT_EQ(on_stats.search.comparisons, off_stats.search.comparisons);
-  EXPECT_EQ(on_stats.search.shifts, off_stats.search.shifts);
-  EXPECT_EQ(on_stats.search.shift_chars, off_stats.search.shift_chars);
-  EXPECT_EQ(on_stats.bm_searches, off_stats.bm_searches);
-  EXPECT_EQ(on_stats.cw_searches, off_stats.cw_searches);
-  EXPECT_EQ(on_stats.initial_jump_chars, off_stats.initial_jump_chars);
-  EXPECT_EQ(on_stats.input_bytes, off_stats.input_bytes);
-}
-
-TEST(DispatchDiffTest, BitmapPlaneOnOffIdenticalUnderEveryTier) {
-  const simd::Isa saved = simd::ActiveIsa();
-  xmlgen::XmarkOptions gen;
-  gen.target_bytes = 512 << 10;
-  std::string doc = xmlgen::GenerateXmark(gen);
-  auto paths = paths::ProjectionPath::ParseList(
-      "/site/people/person@ /site/people/person/name# //description");
-  ASSERT_TRUE(paths.ok());
-  CompileOptions on_opts;
-  on_opts.tables.use_bitmap_plane = true;
-  CompileOptions off_opts;
-  off_opts.tables.use_bitmap_plane = false;
-  auto on = Prefilter::Compile(xmlgen::XmarkDtd(), *paths, on_opts);
-  auto off = Prefilter::Compile(xmlgen::XmarkDtd(), *paths, off_opts);
-  ASSERT_TRUE(on.ok() && off.ok());
-  for (simd::Isa isa : simd::AvailableIsas()) {
+  const std::vector<simd::Isa> isas = simd::AvailableIsas();
+  ASSERT_EQ(simd::SetIsa(isas.back()), isas.back());
+  RunStats best_stats;
+  auto best = skip_pf.RunOnBuffer(doc, &best_stats);
+  ASSERT_TRUE(best.ok()) << best.status().ToString();
+  for (simd::Isa isa : isas) {
     SCOPED_TRACE(simd::IsaName(isa));
     ASSERT_EQ(simd::SetIsa(isa), isa);
-    ExpectPlaneParity(*on, *off, doc);
+    RunStats stats;
+    auto out = skip_pf.RunOnBuffer(doc, &stats);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(*out, *best);
+    EXPECT_EQ(stats.search.comparisons, best_stats.search.comparisons);
+    EXPECT_EQ(stats.search.shifts, best_stats.search.shifts);
+    EXPECT_EQ(stats.search.shift_chars, best_stats.search.shift_chars);
+    EXPECT_EQ(stats.matches, best_stats.matches);
+    EXPECT_EQ(stats.false_matches, best_stats.false_matches);
+    EXPECT_EQ(stats.bm_searches, best_stats.bm_searches);
+    EXPECT_EQ(stats.cw_searches, best_stats.cw_searches);
   }
   simd::SetIsa(saved);
-}
 
-TEST(DispatchDiffTest, BitmapPlaneSmallWindowStreamingStaysIdentical) {
-  // Window slides rebind the plane (epoch bumps) on every refill; tiny
-  // windows force constant invalidation plus append-rebinds in between.
-  xmlgen::MedlineOptions gen;
-  gen.target_bytes = 200 << 10;
-  std::string doc = xmlgen::GenerateMedline(gen);
-  auto paths = paths::ProjectionPath::ParseList(
-      "/MedlineCitationSet//DataBank/DataBankName# "
-      "/MedlineCitationSet/MedlineCitation/DateCompleted#");
-  ASSERT_TRUE(paths.ok());
-  CompileOptions on_opts;
-  on_opts.tables.use_bitmap_plane = true;
-  CompileOptions off_opts;
-  off_opts.tables.use_bitmap_plane = false;
-  auto on = Prefilter::Compile(xmlgen::MedlineDtd(), *paths, on_opts);
-  auto off = Prefilter::Compile(xmlgen::MedlineDtd(), *paths, off_opts);
-  ASSERT_TRUE(on.ok() && off.ok());
-  for (size_t window : {64u, 256u, 4096u}) {
-    SCOPED_TRACE(window);
-    EngineOptions opts;
-    opts.window_capacity = window;
-    ExpectPlaneParity(*on, *off, doc, opts);
-  }
-}
-
-TEST(DispatchDiffTest, ProcessWidePlaneDisableMatchesPlaneOffTables) {
-  // The CI force-disabled path: SetPlaneEnabled(false) must make
-  // plane-compiled tables behave exactly like use_bitmap_plane = false.
-  xmlgen::XmarkOptions gen;
-  gen.target_bytes = 128 << 10;
-  std::string doc = xmlgen::GenerateXmark(gen);
-  auto paths =
-      paths::ProjectionPath::ParseList("/site/regions//item/name#");
-  ASSERT_TRUE(paths.ok());
-  CompileOptions plane_opts;
-  plane_opts.tables.use_bitmap_plane = true;
-  auto pf = Prefilter::Compile(xmlgen::XmarkDtd(), *paths, plane_opts);
-  ASSERT_TRUE(pf.ok());
-  RunStats on_stats;
-  auto out_on = pf->RunOnBuffer(doc, &on_stats);
-  ASSERT_TRUE(out_on.ok());
-  simd::SetPlaneEnabled(false);
-  RunStats disabled_stats;
-  auto out_disabled = pf->RunOnBuffer(doc, &disabled_stats);
-  simd::SetPlaneEnabled(true);
-  ASSERT_TRUE(out_disabled.ok());
-  ASSERT_EQ(*out_on, *out_disabled);
-  EXPECT_EQ(on_stats.matches, disabled_stats.matches);
-  EXPECT_EQ(on_stats.search.comparisons, disabled_stats.search.comparisons);
-  EXPECT_EQ(on_stats.search.shifts, disabled_stats.search.shifts);
-  EXPECT_EQ(on_stats.search.shift_chars, disabled_stats.search.shift_chars);
+  RunStats classic_stats;
+  auto out_classic = classic_pf.RunOnBuffer(doc, &classic_stats);
+  ASSERT_TRUE(out_classic.ok()) << out_classic.status().ToString();
+  ASSERT_EQ(*out_classic, *best);
+  EXPECT_EQ(classic_stats.matches, best_stats.matches);
+  EXPECT_EQ(classic_stats.false_matches, best_stats.false_matches);
 }
 
 TEST(DispatchDiffTest, PrologAndDoctypeUnderSpanScanner) {
