@@ -61,15 +61,38 @@ Selection SelectStates(const dtd::DtdAutomaton& aut,
   sel.in_s[0] = true;  // q0
 
   // Step (a): relevance per instance (open and close share a branch).
-  sel.relevance.reserve(aut.instances().size());
+  // An instance's evaluator state is its parent's stepped once by its own
+  // label, and its C2 flag extends the parent's, so a depth-first walk of
+  // the instance tree classifies every instance from its parent's state
+  // instead of re-walking the branch from the root.
+  struct Visit {
+    int inst;
+    paths::PathSetEvaluator::State state;
+    bool c2;
+  };
+  const paths::PathSetEvaluator& ev = analyzer.evaluator();
+  sel.relevance.resize(aut.instances().size());
+  std::vector<Visit> stack;
+  auto enter = [&](int inst, const paths::PathSetEvaluator::State& parent,
+                   bool parent_c2) {
+    Visit v{inst, parent, parent_c2};
+    ev.Step(aut.instance(inst).label, &v.state);
+    v.c2 = v.c2 || analyzer.AnyHashAccepting(v.state);
+    sel.relevance[static_cast<size_t>(inst)] = analyzer.Classify(
+        v.state, parent, v.c2, /*at_document_node=*/false);
+    stack.push_back(std::move(v));
+  };
+  enter(0, ev.Initial(), false);
+  while (!stack.empty()) {
+    Visit v = std::move(stack.back());
+    stack.pop_back();
+    for (int child : aut.ChildrenOf(v.inst)) enter(child, v.state, v.c2);
+  }
   for (size_t i = 0; i < aut.instances().size(); ++i) {
+    if (!sel.relevance[i].relevant()) continue;
     int open = DtdAutomaton::OpenState(static_cast<int>(i));
-    paths::BranchRelevance rel = analyzer.Analyze(aut.BranchLabels(open));
-    sel.relevance.push_back(rel);
-    if (rel.relevant()) {
-      sel.in_s[static_cast<size_t>(open)] = true;
-      sel.in_s[static_cast<size_t>(DtdAutomaton::Dual(open))] = true;
-    }
+    sel.in_s[static_cast<size_t>(open)] = true;
+    sel.in_s[static_cast<size_t>(DtdAutomaton::Dual(open))] = true;
   }
 
   // Step (b): collapse pairs whose interior is entirely relevant. Walk
@@ -102,18 +125,18 @@ Selection SelectStates(const dtd::DtdAutomaton& aut,
   // step (c).
   std::map<std::string, std::vector<int>> opaque_interior_tokens;
   auto interior_tokens = [&aut, &opaque_interior_tokens](
-                             const std::string& label) {
-    auto it = opaque_interior_tokens.find(label);
-    if (it != opaque_interior_tokens.end()) return it->second;
-    std::vector<int> tokens;
-    for (const std::string& name : aut.dtd().ReachableFrom(label)) {
-      for (bool closing : {false, true}) {
-        int tok = aut.FindToken(name, closing);
-        if (tok >= 0) tokens.push_back(tok);
+                             const std::string& label)
+      -> const std::vector<int>& {
+    auto [it, inserted] = opaque_interior_tokens.try_emplace(label);
+    if (inserted) {
+      for (const std::string& name : aut.dtd().ReachableFrom(label)) {
+        for (bool closing : {false, true}) {
+          int tok = aut.FindToken(name, closing);
+          if (tok >= 0) it->second.push_back(tok);
+        }
       }
     }
-    opaque_interior_tokens[label] = tokens;
-    return tokens;
+    return it->second;
   };
 
   // Step (c): disambiguation closure, to fixpoint. From every q in S,

@@ -36,6 +36,19 @@ bool PathMatchesBranch(const ProjectionPath& path,
   return nfa.Accepts(states);
 }
 
+std::vector<std::string> RepresentativeLabels(
+    std::vector<std::string> alphabet,
+    const std::set<std::string, std::less<>>& named) {
+  std::vector<std::string> out;
+  bool kept_unnamed = false;
+  for (std::string& label : alphabet) {
+    const bool is_named = named.count(label) != 0;
+    if (is_named || !kept_unnamed) out.push_back(std::move(label));
+    kept_unnamed = kept_unnamed || !is_named;
+  }
+  return out;
+}
+
 PathSetEvaluator::PathSetEvaluator(const std::vector<ProjectionPath>* paths)
     : paths_(paths) {
   nfas_.reserve(paths_->size());

@@ -7,6 +7,7 @@
 #ifndef SMPX_PATHS_PATH_NFA_H_
 #define SMPX_PATHS_PATH_NFA_H_
 
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,13 @@ class PathNfa {
 /// Convenience: does `path` select the node with this branch?
 bool PathMatchesBranch(const ProjectionPath& path,
                        const std::vector<std::string>& branch);
+
+/// The labels of `alphabet` in `named`, plus the first label that is not.
+/// PathNfa::Step moves every path alike on all labels that none of its
+/// non-wildcard steps names, so one of them stands for the rest.
+std::vector<std::string> RepresentativeLabels(
+    std::vector<std::string> alphabet,
+    const std::set<std::string, std::less<>>& named);
 
 /// A set of paths evaluated in lockstep over a branch, exposing which paths
 /// accept after every prefix. This is the workhorse behind relevance

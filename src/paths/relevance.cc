@@ -1,6 +1,7 @@
 #include "paths/relevance.h"
 
 #include <algorithm>
+#include <set>
 
 namespace smpx::paths {
 
@@ -25,79 +26,39 @@ RelevanceAnalyzer::RelevanceAnalyzer(std::vector<ProjectionPath> paths,
                                      std::vector<std::string> alphabet)
     : paths_(std::move(paths)),
       closure_(PrefixClosure(paths_)),
-      alphabet_(std::move(alphabet)),
       evaluator_(&closure_) {
   is_hash_.reserve(closure_.size());
+  std::set<std::string, std::less<>> last_names;
   for (const ProjectionPath& p : closure_) {
     is_hash_.push_back(p.descendants);
     is_attr_.push_back(p.attributes);
     bool child = false;
     bool desc = false;
     if (!p.steps.empty()) {
-      child = p.steps.back().axis == PathStep::Axis::kChild;
-      desc = p.steps.back().axis == PathStep::Axis::kDescendant;
+      const PathStep& last = p.steps.back();
+      child = last.axis == PathStep::Axis::kChild;
+      desc = last.axis == PathStep::Axis::kDescendant;
+      if (!last.wildcard) last_names.insert(last.name);
     }
     child_form_.push_back(child);
     desc_form_.push_back(desc);
   }
+  // C3 asks which paths accept right after the substituted tag, and that
+  // depends on the tag only through each path's last step.
+  alphabet_ = RepresentativeLabels(std::move(alphabet), last_names);
 }
 
 BranchRelevance RelevanceAnalyzer::Analyze(
     const std::vector<std::string>& branch) const {
-  BranchRelevance out;
-
-  // Walk the branch, tracking C2 (a '#'-path matching any prefix) along the
-  // way, and keep the evaluator state *before* the leaf for C3.
   PathSetEvaluator::State state = evaluator_.Initial();
-  PathSetEvaluator::State before_leaf = state;
-  for (size_t i = 0; i < branch.size(); ++i) {
-    if (i + 1 == branch.size()) before_leaf = state;
-    evaluator_.Step(branch[i], &state);
-    for (size_t p = 0; p < closure_.size(); ++p) {
-      if (is_hash_[p] && evaluator_.PathAccepts(p, state)) out.c2 = true;
-    }
+  PathSetEvaluator::State parent = state;
+  bool c2 = false;
+  for (const std::string& label : branch) {
+    parent = state;
+    evaluator_.Step(label, &state);
+    c2 = c2 || AnyHashAccepting(state);
   }
-  if (branch.empty()) {
-    // The document node: matched by the empty path "/", always in P+.
-    out.c1 = true;
-    for (size_t p = 0; p < closure_.size(); ++p) {
-      if (closure_[p].steps.empty() && is_hash_[p] &&
-          evaluator_.PathAccepts(p, state)) {
-        out.c2 = true;
-        out.leaf_hash = true;
-      }
-    }
-    return out;
-  }
-
-  // C1 and leaf flags from the full-branch state.
-  for (size_t p = 0; p < closure_.size(); ++p) {
-    if (!evaluator_.PathAccepts(p, state)) continue;
-    out.c1 = true;
-    if (is_hash_[p]) out.leaf_hash = true;
-    if (is_attr_[p]) out.leaf_attrs = true;
-  }
-
-  // C3: substitute each candidate tag t at the leaf; require a child-form
-  // and a descendant-form path to both match.
-  if (!out.c1) {
-    for (const std::string& t : alphabet_) {
-      PathSetEvaluator::State sub = before_leaf;
-      evaluator_.Step(t, &sub);
-      bool child = false;
-      bool desc = false;
-      for (size_t p = 0; p < closure_.size() && !(child && desc); ++p) {
-        if (!evaluator_.PathAccepts(p, sub)) continue;
-        child = child || child_form_[p];
-        desc = desc || desc_form_[p];
-      }
-      if (child && desc) {
-        out.c3 = true;
-        break;
-      }
-    }
-  }
-  return out;
+  return Classify(state, parent, c2, branch.empty());
 }
 
 std::vector<std::string> DeriveC3Alphabet(
@@ -121,23 +82,14 @@ std::vector<std::string> DeriveC3Alphabet(
 
 IncrementalRelevance::IncrementalRelevance(const RelevanceAnalyzer* analyzer)
     : analyzer_(analyzer) {
-  states_.push_back(analyzer_->evaluator_.Initial());
+  states_.push_back(analyzer_->evaluator().Initial());
   c2_stack_.push_back(false);
 }
 
 void IncrementalRelevance::Push(std::string_view label) {
   PathSetEvaluator::State next = states_.back();
-  analyzer_->evaluator_.Step(label, &next);
-  bool c2 = c2_stack_.back();
-  if (!c2) {
-    for (size_t p = 0; p < analyzer_->closure_.size(); ++p) {
-      if (analyzer_->is_hash_[p] &&
-          analyzer_->evaluator_.PathAccepts(p, next)) {
-        c2 = true;
-        break;
-      }
-    }
-  }
+  analyzer_->evaluator().Step(label, &next);
+  bool c2 = c2_stack_.back() || analyzer_->AnyHashAccepting(next);
   states_.push_back(std::move(next));
   c2_stack_.push_back(c2);
 }
@@ -171,7 +123,12 @@ BranchRelevance RelevanceAnalyzer::Classify(
   BranchRelevance out;
   out.c2 = c2_so_far;
   if (at_document_node) {
-    out.c1 = true;  // matched by "/"
+    // Only the empty path "/" selects the document node; "/#" keeps it all.
+    out.c1 = true;
+    if (AnyHashAccepting(state)) {
+      out.c2 = true;
+      out.leaf_hash = true;
+    }
     return out;
   }
   for (size_t p = 0; p < closure_.size(); ++p) {
@@ -180,6 +137,8 @@ BranchRelevance RelevanceAnalyzer::Classify(
     if (is_hash_[p]) out.leaf_hash = true;
     if (is_attr_[p]) out.leaf_attrs = true;
   }
+  // C3: substitute each candidate tag t at the leaf; require a child-form
+  // and a descendant-form path to both match.
   if (!out.c1) {
     for (const std::string& t : alphabet_) {
       PathSetEvaluator::State sub = parent_state;
@@ -205,9 +164,7 @@ bool RelevanceAnalyzer::TextRelevant(
   PathSetEvaluator::State state = evaluator_.Initial();
   for (size_t i = 0; i < parent_branch.size(); ++i) {
     evaluator_.Step(parent_branch[i], &state);
-    for (size_t p = 0; p < closure_.size(); ++p) {
-      if (is_hash_[p] && evaluator_.PathAccepts(p, state)) return true;
-    }
+    if (AnyHashAccepting(state)) return true;
   }
   return false;
 }

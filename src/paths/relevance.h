@@ -36,7 +36,9 @@ struct BranchRelevance {
 };
 
 /// Evaluates Definition 3 for document branches. `alphabet` is the set of
-/// candidate tags for C3 (all element names of the DTD).
+/// candidate tags for C3 (all element names of the DTD); the constructor
+/// keeps the tags some last step of P+ names plus one stand-in for the
+/// rest, which all give the same C3 verdict.
 class RelevanceAnalyzer {
  public:
   RelevanceAnalyzer(std::vector<ProjectionPath> paths,
@@ -69,8 +71,6 @@ class RelevanceAnalyzer {
                            bool c2_so_far, bool at_document_node) const;
 
  private:
-  friend class IncrementalRelevance;
-
   std::vector<ProjectionPath> paths_;
   std::vector<ProjectionPath> closure_;
   std::vector<std::string> alphabet_;

@@ -121,6 +121,20 @@ bool EquivalentProjectionQueries(const std::vector<paths::ProjectionPath>& a,
   paths::PathSetEvaluator eb(&b);
   using State = paths::PathSetEvaluator::State;
 
+  // Labels that no non-wildcard step of either set names step both
+  // evaluators identically, so the walk below reaches the same state pairs
+  // over the representative labels as over the full alphabet.
+  std::set<std::string, std::less<>> named;
+  for (const std::vector<paths::ProjectionPath>* set : {&a, &b}) {
+    for (const paths::ProjectionPath& p : *set) {
+      for (const paths::PathStep& step : p.steps) {
+        if (!step.wildcard) named.insert(step.name);
+      }
+    }
+  }
+  const std::vector<std::string> labels =
+      paths::RepresentativeLabels(alphabet, named);
+
   // A state pair keyed by the concatenated NFA bit sets. Both evaluators
   // have fixed shapes, so the flat bit string is unambiguous.
   auto key = [](const State& sa, const State& sb) {
@@ -145,7 +159,7 @@ bool EquivalentProjectionQueries(const std::vector<paths::ProjectionPath>& a,
     auto [sa, sb] = std::move(work.back());
     work.pop_back();
     if (ea.Flags(sa) != eb.Flags(sb)) return false;
-    for (const std::string& label : alphabet) {
+    for (const std::string& label : labels) {
       State na = sa;
       State nb = sb;
       ea.Step(label, &na);

@@ -255,11 +255,12 @@ TEST(CliBatchTest, LowFdLimitBatchStillWritesEveryOutputFile) {
   }
 }
 
-/// Seconds printed in the first `time=` field of `err`; -1 when absent.
-double StatsTime(const std::string& err) {
-  const size_t p = err.find("time=");
+/// Seconds printed in the first ` field=` of `err`; -1 when absent.
+double StatsSeconds(const std::string& err, const std::string& field) {
+  const std::string key = " " + field + "=";
+  const size_t p = err.find(key);
   if (p == std::string::npos) return -1;
-  return std::strtod(err.c_str() + p + 5, nullptr);
+  return std::strtod(err.c_str() + p + key.size(), nullptr);
 }
 
 TEST(CliStatsTest, TimeIsAtMostTheWallTimeAroundTheExec) {
@@ -282,10 +283,14 @@ TEST(CliStatsTest, TimeIsAtMostTheWallTimeAroundTheExec) {
                          fx.InputArgs() + " \"" + out + "\"");
     const double wall_s = wall.Seconds();
     ASSERT_EQ(r.exit_code, 0) << r.err;
-    const double t = StatsTime(r.err);
+    const double t = StatsSeconds(r.err, "time");
     ASSERT_GT(t, 0) << r.err;
     // time= prints three decimals; allow its rounding and nothing more.
     EXPECT_LE(t - 0.0005, wall_s) << r.err;
+    // compile= is the compile share of that same timer.
+    const double compile = StatsSeconds(r.err, "compile");
+    EXPECT_GE(compile, 0) << r.err;
+    EXPECT_LE(compile, t) << r.err;
   }
   for (const char* suffix : {".xml", ".q1.xml", ".q2.xml", ".queries"}) {
     std::remove((dir + "/smpx_cli_stats" + suffix).c_str());

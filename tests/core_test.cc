@@ -17,8 +17,12 @@
 #include "dtd/dtd.h"
 #include "dtd/dtd_automaton.h"
 #include "paths/projection_path.h"
+#include "paths/path_nfa.h"
 #include "paths/relevance.h"
 #include "xml/tokenizer.h"
+#include "xmlgen/dtd_sampler.h"
+#include "xmlgen/medline.h"
+#include "xmlgen/xmark.h"
 
 namespace smpx::core {
 namespace {
@@ -462,6 +466,217 @@ TEST(EngineTest, AlternativeFrontierAlgorithms) {
               "<site><australia><description>Palm Zire 71</description>"
               "</australia></site>")
         << strmatch::AlgorithmName(algo);
+  }
+}
+
+// --- Selection step (a) against a brute-force reference -------------------
+
+/// Definition 3 the slow way: a PathNfa per P+ path re-walks every prefix
+/// of the branch, and every tag of the DTD is tried as the C3 leaf.
+paths::BranchRelevance ReferenceRelevance(
+    const std::vector<paths::ProjectionPath>& closure,
+    const std::vector<std::string>& alphabet,
+    const std::vector<std::string>& branch) {
+  paths::BranchRelevance out;
+  for (size_t len = 1; len <= branch.size(); ++len) {
+    std::vector<std::string> prefix(branch.begin(),
+                                    branch.begin() + static_cast<long>(len));
+    for (const paths::ProjectionPath& p : closure) {
+      if (p.descendants && paths::PathMatchesBranch(p, prefix)) out.c2 = true;
+    }
+  }
+  for (const paths::ProjectionPath& p : closure) {
+    if (!paths::PathMatchesBranch(p, branch)) continue;
+    out.c1 = true;
+    out.leaf_hash = out.leaf_hash || p.descendants;
+    out.leaf_attrs = out.leaf_attrs || p.attributes;
+  }
+  if (out.c1) return out;
+  for (const std::string& t : alphabet) {
+    std::vector<std::string> sub = branch;
+    sub.back() = t;
+    bool child = false;
+    bool desc = false;
+    for (const paths::ProjectionPath& p : closure) {
+      if (p.steps.empty() || !paths::PathMatchesBranch(p, sub)) continue;
+      child = child || p.steps.back().axis == paths::PathStep::Axis::kChild;
+      desc = desc ||
+             p.steps.back().axis == paths::PathStep::Axis::kDescendant;
+    }
+    if (child && desc) out.c3 = true;
+  }
+  return out;
+}
+
+void ExpectSameRelevance(const paths::BranchRelevance& got,
+                         const paths::BranchRelevance& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.c1, want.c1) << where;
+  EXPECT_EQ(got.c2, want.c2) << where;
+  EXPECT_EQ(got.c3, want.c3) << where;
+  EXPECT_EQ(got.leaf_hash, want.leaf_hash) << where;
+  EXPECT_EQ(got.leaf_attrs, want.leaf_attrs) << where;
+}
+
+/// Checks SelectStates(...).relevance instance by instance against the
+/// reference. Step (b) marks collapsed pairs as subtree copies, so the
+/// reference replays that rule (top-down: a relevant pair whose non-empty
+/// interior is all relevant swallows it) before leaf_hash is compared.
+void CheckSelectionRelevance(const dtd::Dtd& dtd,
+                             std::vector<paths::ProjectionPath> ps,
+                             bool allow_recursion = false) {
+  auto aut = dtd::DtdAutomaton::Build(dtd, 1 << 20, allow_recursion);
+  ASSERT_TRUE(aut.ok()) << aut.status().ToString();
+  std::vector<std::string> alphabet;
+  for (const dtd::ElementDecl& d : dtd.elements()) alphabet.push_back(d.name);
+  const std::vector<paths::ProjectionPath> closure = paths::PrefixClosure(ps);
+  paths::RelevanceAnalyzer analyzer(ps, alphabet);
+  Selection sel = SelectStates(*aut, analyzer);
+
+  const size_t n = aut->instances().size();
+  ASSERT_EQ(sel.relevance.size(), n);
+  std::vector<paths::BranchRelevance> want(n);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<std::string> branch =
+        aut->BranchLabels(dtd::DtdAutomaton::OpenState(static_cast<int>(i)));
+    want[i] = ReferenceRelevance(closure, alphabet, branch);
+    ExpectSameRelevance(analyzer.Analyze(branch), want[i],
+                        "Analyze, instance " + std::to_string(i));
+  }
+  std::vector<bool> swallowed(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    if (!want[i].relevant() || swallowed[i]) continue;
+    std::vector<int> interior;
+    for (std::vector<int> work = {static_cast<int>(i)}; !work.empty();) {
+      int cur = work.back();
+      work.pop_back();
+      for (int child : aut->ChildrenOf(cur)) {
+        interior.push_back(child);
+        work.push_back(child);
+      }
+    }
+    if (interior.empty()) continue;
+    bool all_relevant = true;
+    for (int d : interior) {
+      all_relevant = all_relevant && want[static_cast<size_t>(d)].relevant();
+    }
+    if (!all_relevant) continue;
+    for (int d : interior) swallowed[static_cast<size_t>(d)] = true;
+    want[i].leaf_hash = true;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ExpectSameRelevance(sel.relevance[i], want[i],
+                        "SelectStates, instance " + std::to_string(i));
+  }
+}
+
+/// A random DTD made recursive: a non-root element also admits one of
+/// the elements declared before it (besides the root), closing a cycle
+/// whenever both are reachable.
+dtd::Dtd RandomRecursiveDtd(xmlgen::Rng* rng) {
+  dtd::Dtd dtd = xmlgen::RandomDtd(rng);
+  const std::vector<dtd::ElementDecl>& els = dtd.elements();
+  const size_t k = 1 + static_cast<size_t>(xmlgen::Uniform(
+                           rng, 0, static_cast<int64_t>(els.size()) - 3));
+  const size_t j = k + static_cast<size_t>(xmlgen::Uniform(
+                           rng, 0, static_cast<int64_t>(els.size() - k) - 1));
+  dtd::ElementDecl decl = els[j];
+  std::string model = "(#PCDATA | " + els[k].name;
+  for (const std::string& c : decl.model.ChildNames()) model += " | " + c;
+  auto parsed = dtd::ParseContentModel(model + ")*");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  decl.model = std::move(*parsed);
+  dtd.AddElement(std::move(decl));
+  return dtd;
+}
+
+TEST(SelectionReferenceTest, InstancesAreNumberedAfterTheirParents) {
+  // SelectStates relies on this: step (b) walks instances in id order so
+  // outer pairs collapse first.
+  xmlgen::Rng rng(5);
+  std::vector<std::pair<dtd::Dtd, bool>> dtds = {{xmlgen::XmarkDtd(), false},
+                                                 {xmlgen::MedlineDtd(), false},
+                                                 {D(kPaperDtd), false}};
+  for (int round = 0; round < 20; ++round) {
+    dtds.emplace_back(xmlgen::RandomDtd(&rng), false);
+    dtds.emplace_back(RandomRecursiveDtd(&rng), true);
+  }
+  int recursive = 0;
+  for (const auto& [dtd, allow_recursion] : dtds) {
+    auto aut = dtd::DtdAutomaton::Build(dtd, 1 << 20, allow_recursion);
+    ASSERT_TRUE(aut.ok()) << aut.status().ToString() << dtd.ToString();
+    EXPECT_EQ(aut->instance(0).parent, -1);
+    for (size_t i = 1; i < aut->instances().size(); ++i) {
+      const int parent = aut->instance(static_cast<int>(i)).parent;
+      EXPECT_GE(parent, 0) << dtd.ToString();
+      EXPECT_LT(parent, static_cast<int>(i)) << dtd.ToString();
+    }
+    if (dtd.IsRecursive()) ++recursive;
+  }
+  EXPECT_GT(recursive, 0) << "no recursive DTD was exercised";
+}
+
+TEST(SelectionReferenceTest, RandomDtdsAndPathsMatchBruteForce) {
+  xmlgen::Rng rng(13);
+  xmlgen::RandomPathsOptions popts;
+  popts.num_paths = 4;
+  popts.max_steps = 4;
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    dtd::Dtd dtd = xmlgen::RandomDtd(&rng);
+    CheckSelectionRelevance(dtd, xmlgen::RandomPaths(dtd, &rng, popts));
+    dtd::Dtd rec = RandomRecursiveDtd(&rng);
+    CheckSelectionRelevance(rec, xmlgen::RandomPaths(rec, &rng, popts),
+                            /*allow_recursion=*/true);
+  }
+}
+
+TEST(SelectionReferenceTest, XmarkAndMedlineQueriesMatchBruteForce) {
+  const char* xmark[] = {
+      "/site/people/person@ /site/people/person/name#",
+      "/site/open_auctions/open_auction/bidder/increase#",
+      "/site/open_auctions/open_auction/bidder/personref@ "
+      "/site/open_auctions/open_auction/reserve#",
+      "/site/closed_auctions/closed_auction/price#",
+      "/site/regions//item@",
+      "//description //annotation //emailaddress",
+      "/site/people/person@ /site/people/person/name# "
+      "/site/closed_auctions/closed_auction/buyer@ "
+      "/site/closed_auctions/closed_auction/itemref@ "
+      "/site/regions/europe/item@ /site/regions/europe/item/name#",
+      "/site/categories/category@ /site/categories/category/name# "
+      "/site/people/person@ /site/people/person/name# "
+      "/site/people/person/emailaddress# /site/people/person/homepage# "
+      "/site/people/person/creditcard# /site/people/person/address# "
+      "/site/people/person/profile#",
+      "/site/people/person/name# /site/people/person/profile@ "
+      "/site/open_auctions/open_auction/initial#",
+      "/site/regions/australia/item/name# "
+      "/site/regions/australia/item/description#",
+      "/site//item/name# /site//item/description#",
+      "/site/people/person/name# /site/people/person/homepage",
+      "/site/regions//item/location# /site/regions//item/name#",
+      "/site/people/person/profile@",
+  };
+  const char* medline[] = {
+      "/MedlineCitationSet//CollectionTitle#",
+      "/MedlineCitationSet//DataBank/DataBankName# "
+      "/MedlineCitationSet//DataBank/AccessionNumberList#",
+      "/MedlineCitationSet//PersonalNameSubjectList/PersonalNameSubject#",
+      "/MedlineCitationSet//CopyrightInformation#",
+      "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo# "
+      "/MedlineCitationSet/MedlineCitation/DateCompleted#",
+  };
+  // Prefilter::Compile adds "/*"; check both with and without it.
+  for (const char* q : xmark) {
+    SCOPED_TRACE(q);
+    CheckSelectionRelevance(xmlgen::XmarkDtd(), P(q));
+    CheckSelectionRelevance(xmlgen::XmarkDtd(), P(std::string(q) + " /*"));
+  }
+  for (const char* q : medline) {
+    SCOPED_TRACE(q);
+    CheckSelectionRelevance(xmlgen::MedlineDtd(), P(q));
+    CheckSelectionRelevance(xmlgen::MedlineDtd(), P(std::string(q) + " /*"));
   }
 }
 

@@ -2,16 +2,21 @@
 // the record-streaming engine (SPEX substitute), and the top-level
 // equality / projection-safety oracle.
 
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/io.h"
+#include "paths/path_nfa.h"
 #include "query/equivalence.h"
 #include "query/mem_engine.h"
 #include "query/stream_engine.h"
 #include "query/xpath.h"
 #include "xml/dom.h"
+#include "xmlgen/dtd_sampler.h"
 
 namespace smpx::query {
 namespace {
@@ -225,6 +230,157 @@ TEST(ProjectionSafetyTest, DetectsSafeAndUnsafeProjections) {
                                   {PP("//b")});
   ASSERT_TRUE(r4.ok());
   EXPECT_TRUE(r4->safe);
+}
+
+// --- Projection-query equivalence against the full-alphabet walk ----------
+
+/// The product walk of EquivalentProjectionQueries over every label of the
+/// alphabet from every reachable state pair, with the same budget rule.
+bool FullAlphabetEquivalent(const std::vector<paths::ProjectionPath>& a,
+                            const std::vector<paths::ProjectionPath>& b,
+                            const std::vector<std::string>& alphabet,
+                            size_t max_states) {
+  paths::PathSetEvaluator ea(&a);
+  paths::PathSetEvaluator eb(&b);
+  using State = paths::PathSetEvaluator::State;
+  auto key = [](const State& sa, const State& sb) {
+    std::vector<std::vector<bool>> k = sa.sets;
+    k.emplace_back();  // separator: both shapes are fixed
+    k.insert(k.end(), sb.sets.begin(), sb.sets.end());
+    return k;
+  };
+  std::set<std::vector<std::vector<bool>>> seen;
+  std::vector<std::pair<State, State>> work;
+  seen.insert(key(ea.Initial(), eb.Initial()));
+  work.emplace_back(ea.Initial(), eb.Initial());
+  while (!work.empty()) {
+    if (seen.size() > max_states) return false;
+    auto [sa, sb] = std::move(work.back());
+    work.pop_back();
+    if (ea.Flags(sa) != eb.Flags(sb)) return false;
+    for (const std::string& label : alphabet) {
+      State na = sa;
+      State nb = sb;
+      ea.Step(label, &na);
+      eb.Step(label, &nb);
+      if (seen.insert(key(na, nb)).second) {
+        work.emplace_back(std::move(na), std::move(nb));
+      }
+    }
+  }
+  return true;
+}
+
+/// A path set selecting exactly what `a` selects, with the same flags:
+/// `a` reversed, one path repeated, and narrowed copies added -- a '//'
+/// step made '/' or a wildcard given a name selects a subset of nodes.
+std::vector<paths::ProjectionPath> EquivalentByConstruction(
+    std::vector<paths::ProjectionPath> a, const std::string& some_name) {
+  std::vector<paths::ProjectionPath> b(a.rbegin(), a.rend());
+  b.push_back(a.front());
+  for (const paths::ProjectionPath& p : a) {
+    for (size_t s = 0; s < p.steps.size(); ++s) {
+      paths::ProjectionPath narrow = p;
+      if (p.steps[s].axis == paths::PathStep::Axis::kDescendant) {
+        narrow.steps[s].axis = paths::PathStep::Axis::kChild;
+      } else if (p.steps[s].wildcard) {
+        narrow.steps[s].wildcard = false;
+        narrow.steps[s].name = some_name;
+      } else {
+        continue;
+      }
+      b.push_back(std::move(narrow));
+      break;
+    }
+  }
+  return b;
+}
+
+/// `a` with its first wildcard step spelled out as one copy per name the
+/// set's steps use: the two sets differ only on labels no step names.
+std::vector<paths::ProjectionPath> WildcardOverNamedLabels(
+    std::vector<paths::ProjectionPath> a) {
+  std::set<std::string> named;
+  for (const paths::ProjectionPath& p : a) {
+    for (const paths::PathStep& step : p.steps) {
+      if (!step.wildcard) named.insert(step.name);
+    }
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t s = 0; s < a[i].steps.size(); ++s) {
+      if (!a[i].steps[s].wildcard) continue;
+      const paths::ProjectionPath wild = a[i];
+      a.erase(a.begin() + static_cast<long>(i));
+      for (const std::string& name : named) {
+        paths::ProjectionPath copy = wild;
+        copy.steps[s].wildcard = false;
+        copy.steps[s].name = name;
+        a.push_back(std::move(copy));
+      }
+      return a;
+    }
+  }
+  return a;
+}
+
+TEST(EquivalenceTest, VerdictMatchesFullAlphabetWalk) {
+  xmlgen::Rng rng(29);
+  xmlgen::RandomPathsOptions popts;
+  popts.num_paths = 3;
+  popts.max_steps = 3;
+  popts.wildcard_ratio = 0.25;
+  int equivalent = 0;
+  int different = 0;
+  for (int round = 0; round < 150; ++round) {
+    dtd::Dtd dtd = xmlgen::RandomDtd(&rng);
+    std::vector<std::string> alphabet;
+    for (const dtd::ElementDecl& d : dtd.elements()) {
+      alphabet.push_back(d.name);
+    }
+    std::vector<paths::ProjectionPath> a =
+        xmlgen::RandomPaths(dtd, &rng, popts);
+    std::vector<paths::ProjectionPath> b =
+        round % 3 == 0   ? EquivalentByConstruction(a, alphabet.back())
+        : round % 3 == 1 ? WildcardOverNamedLabels(a)
+                         : xmlgen::RandomPaths(dtd, &rng, popts);
+    for (size_t budget : {size_t{1} << 14, size_t{3}}) {
+      const bool want = FullAlphabetEquivalent(a, b, alphabet, budget);
+      EXPECT_EQ(EquivalentProjectionQueries(a, b, alphabet, budget), want)
+          << "round " << round << " budget " << budget;
+      if (budget > 3) (want ? equivalent : different) += 1;
+    }
+    if (round % 3 == 0) {
+      EXPECT_TRUE(FullAlphabetEquivalent(a, b, alphabet, 1 << 14))
+          << "round " << round;
+    }
+  }
+  EXPECT_GE(equivalent, 50);
+  EXPECT_GT(different, 20);
+}
+
+TEST(EquivalenceTest, LabelsNoStepNamesStillSeparateQueries) {
+  // "/*" and "/a /b" agree on every label either set names; only a third
+  // label "c" tells them apart.
+  auto star = paths::ProjectionPath::ParseList("/*");
+  auto ab = paths::ProjectionPath::ParseList("/a /b");
+  auto abc = paths::ProjectionPath::ParseList("/a /b /c");
+  ASSERT_TRUE(star.ok() && ab.ok() && abc.ok());
+  EXPECT_FALSE(EquivalentProjectionQueries(*star, *ab, {"a", "b", "c"}));
+  EXPECT_TRUE(EquivalentProjectionQueries(*star, *ab, {"a", "b"}));
+  EXPECT_TRUE(EquivalentProjectionQueries(*star, *abc, {"a", "b", "c"}));
+}
+
+TEST(EquivalenceTest, ExceedingTheBudgetIsNeverEquivalent) {
+  // One query against itself: equivalent, but its walk reaches more state
+  // pairs than a budget of 4 allows, so the verdict must be "no".
+  auto a = paths::ProjectionPath::ParseList("/a//b/c# //d/*/e@ /a/*//c");
+  ASSERT_TRUE(a.ok());
+  const std::vector<std::string> alphabet = {"a", "b", "c", "d",
+                                             "e", "f", "g", "h"};
+  ASSERT_TRUE(FullAlphabetEquivalent(*a, *a, alphabet, 1 << 14));
+  ASSERT_FALSE(FullAlphabetEquivalent(*a, *a, alphabet, 4));
+  EXPECT_TRUE(EquivalentProjectionQueries(*a, *a, alphabet));
+  EXPECT_FALSE(EquivalentProjectionQueries(*a, *a, alphabet, 4));
 }
 
 }  // namespace
