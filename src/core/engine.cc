@@ -63,7 +63,6 @@ class PrefilterSession::Impl {
         out_(out),
         stats_(stats != nullptr ? stats : &local_stats_),
         opts_(opts),
-        interned_(tables.interned_dispatch),
         suspendable_(in == nullptr),
         final_input_(in != nullptr),
         mq_sinks_(std::move(query_sinks)),
@@ -96,9 +95,6 @@ class PrefilterSession::Impl {
       } else if (!multi_mode) {
         bad = Status::InvalidArgument(
             "multi-query tables require the per-query-sink session");
-      } else if (!tables_.interned_dispatch) {
-        bad = Status::InvalidArgument(
-            "multi-query tables require interned dispatch");
       } else if (static_cast<int>(mq_sinks_.size()) != mq->num_queries) {
         bad = Status::InvalidArgument(
             "query sink count does not match the compiled query mix");
@@ -391,7 +387,6 @@ class PrefilterSession::Impl {
   uint64_t SkipPast(uint64_t from, std::string_view term);
   uint64_t SkipDoctype(uint64_t from);
   Status HandleMatch(uint64_t pos, int* next_unsearched);
-  Status HandleMatchLegacy(uint64_t pos, int* next_unsearched);
   Status FinishMatch(uint64_t pos, uint64_t tag_end, bool closing,
                      bool bachelor, bool counted_tag, int next_state,
                      int close_state);
@@ -429,7 +424,6 @@ class PrefilterSession::Impl {
   RunStats* stats_;
   RunStats local_stats_;
   EngineOptions opts_;
-  const bool interned_;
   const bool suspendable_;
   bool final_input_;
 
@@ -745,8 +739,8 @@ Status PrefilterSession::Impl::ApplyMulti(int state, uint64_t tag_begin,
   return Status::Ok();
 }
 
-/// Common tail of both match handlers: performs the state transition(s) and
-/// copy actions for an accepted tag.
+/// Common tail of HandleMatch's accept paths: performs the state
+/// transition(s) and copy actions for an accepted tag.
 Status PrefilterSession::Impl::FinishMatch(uint64_t pos, uint64_t tag_end,
                                            bool closing, bool bachelor,
                                            bool counted_tag, int next_state,
@@ -810,9 +804,9 @@ Status PrefilterSession::Impl::FinishMatch(uint64_t pos, uint64_t tag_end,
   return Status::Ok();
 }
 
-/// Interned fast path: the tag name/attribute scan runs pointer loops over
-/// whole resident spans (memchr for '>' and quote terminators), and the
-/// transition resolves via one hash + one flat array load.
+/// Resolves a keyword candidate: the tag name/attribute scan runs pointer
+/// loops over whole resident spans (memchr for '>' and quote terminators),
+/// and the transition resolves via one hash + one flat array load.
 Status PrefilterSession::Impl::HandleMatch(uint64_t pos, int* result) {
   *result = kFalseMatch;
   // Growing view anchored at pos. pos is at or above the lock, so bytes at
@@ -966,118 +960,6 @@ Status PrefilterSession::Impl::HandleMatch(uint64_t pos, int* result) {
                      next_state, close_state);
 }
 
-/// Legacy path (TableOptions::use_map_dispatch): per-byte window access and
-/// std::map tag dispatch; kept verbatim as the differential-testing and
-/// benchmarking baseline.
-Status PrefilterSession::Impl::HandleMatchLegacy(uint64_t pos, int* result) {
-  *result = kFalseMatch;
-  // The whole scan operates on a view anchored at pos (which is above the
-  // lock, so it stays resident); At() re-acquires the view only when the
-  // scan outruns the currently buffered bytes.
-  std::string_view v = win_.View(pos, 2);
-  auto at = [this, pos, &v](uint64_t abs) -> int {
-    size_t rel = static_cast<size_t>(abs - pos);
-    if (rel < v.size()) return static_cast<unsigned char>(v[rel]);
-    if (win_.Ensure(abs, 1) == 0) {
-      scan_hit_end_ = true;
-      return -1;
-    }
-    v = win_.View(pos, rel + 1);
-    return static_cast<unsigned char>(v[rel]);
-  };
-
-  // Parse the tag at pos: "<name" or "</name", then scan to '>' / '/>'.
-  uint64_t p = pos + 1;
-  bool closing = false;
-  int c = at(p);
-  if (c < 0) return Reject(result);
-  if (c == '/') {
-    closing = true;
-    ++p;
-  }
-  uint64_t name_begin = p;
-  while ((c = at(p)) >= 0 && IsNameChar(static_cast<char>(c))) ++p;
-  stats_->scan_chars += p - pos;
-  if (p == name_begin) return Reject(result);  // "<!", "<?", "< " ...
-  size_t name_len = static_cast<size_t>(p - name_begin);
-  std::string_view name =
-      v.substr(static_cast<size_t>(name_begin - pos), name_len);
-
-  const DfaState& st = tables_.states[static_cast<size_t>(q_)];
-
-  bool counted_tag = st.count_nesting && name == st.entry_name &&
-                     (!closing || nesting_depth_ > 0);
-
-  // Look the tagname up in the frontier transition maps; reject prefixes of
-  // longer names and names with no transition (the paper's (¶) check).
-  int next_state = -1;
-  if (!counted_tag) {
-    auto& map = closing ? st.close_next : st.open_next;
-    auto it = map.find(name);
-    if (it == map.end()) return Reject(result);  // false match
-    next_state = it->second;
-  }
-
-  // Scan to the end of the tag, skipping quoted attribute values.
-  bool bachelor = false;
-  uint64_t scan_start = p;
-  for (;;) {
-    c = at(p);
-    if (c < 0) {
-      if (MayResume()) {
-        *result = kNeedInput;
-        return Status::Ok();
-      }
-      return Status::ParseError("unterminated tag at offset " +
-                                std::to_string(pos));
-    }
-    if (c == '>') {
-      bachelor = !closing && at(p - 1) == '/';
-      break;
-    }
-    if (c == '"' || c == '\'') {
-      int quote = c;
-      ++p;
-      while ((c = at(p)) >= 0 && c != quote) ++p;
-      if (c < 0) {
-        if (MayResume()) {
-          *result = kNeedInput;
-          return Status::Ok();
-        }
-        return Status::ParseError("unterminated attribute at offset " +
-                                  std::to_string(pos));
-      }
-    }
-    ++p;
-  }
-  stats_->scan_chars += p - scan_start + 1;
-  uint64_t tag_end = p;  // position of '>'
-
-  if (MayResume() && scan_hit_end_) {
-    *result = kNeedInput;
-    return Status::Ok();
-  }
-  *result = kAccepted;
-
-  // For bachelor tags, resolve the closing transition now. The tag-end scan
-  // above may have slid or reallocated the window buffer, so `name` must be
-  // re-acquired (its bytes are still resident -- they sit above the lock).
-  int close_state = -1;
-  if (!counted_tag && bachelor) {
-    name = win_.View(name_begin, name_len).substr(0, name_len);
-    const DfaState& opened = tables_.states[static_cast<size_t>(next_state)];
-    auto cit = opened.close_next.find(name);
-    if (cit == opened.close_next.end()) {
-      return Status::ParseError("bachelor tag <" + std::string(name) +
-                                "/> has no closing transition; input "
-                                "invalid w.r.t. the DTD");
-    }
-    close_state = cit->second;
-  }
-  return FinishMatch(pos, tag_end, closing, bachelor, counted_tag,
-                     next_state, close_state);
-}
-
 PrefilterSession::Impl::Step PrefilterSession::Impl::Drive() {
   if (!status_.ok()) return Step::kError;
   if (!prolog_done_) {
@@ -1127,8 +1009,7 @@ PrefilterSession::Impl::Step PrefilterSession::Impl::Drive() {
         if (m.found()) {
           uint64_t pos = cursor_ + m.pos;
           scan_hit_end_ = false;
-          Status s = interned_ ? HandleMatch(pos, &handled)
-                               : HandleMatchLegacy(pos, &handled);
+          Status s = HandleMatch(pos, &handled);
           if (!s.ok()) {
             status_ = s;
             return Step::kError;

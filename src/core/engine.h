@@ -5,12 +5,10 @@
 // jumps, and executes copy actions -- all through a fixed-size sliding
 // window over the input stream.
 //
-// Matched tags resolve through the interned fast path by default: the tag
-// name is scanned with pointer loops over whole resident window spans
-// (memchr for '>' and quote terminators), interned to a dense id
-// (RuntimeTables::interner), and dispatched via one flat array load. The
-// legacy std::map dispatch + per-byte scanner survives behind
-// TableOptions::use_map_dispatch as the differential-testing baseline.
+// A matched tag is resolved by scanning its name with pointer loops over
+// whole resident window spans (memchr for '>' and quote terminators),
+// interning it to a dense id (RuntimeTables::interner), and dispatching
+// through one flat array load.
 
 #ifndef SMPX_CORE_ENGINE_H_
 #define SMPX_CORE_ENGINE_H_
@@ -161,10 +159,10 @@ class PrefilterSession {
                    RunStats* stats, const EngineOptions& opts = {},
                    const SessionCheckpoint* start = nullptr);
 
-  /// Multi-query session over product tables (`tables.multi` non-null,
-  /// interned dispatch only): one sink per unique query, in MultiQueryInfo
-  /// order. Each query's bytes go exclusively to its own sink, and each
-  /// query's output is byte-identical to an independent single-query run.
+  /// Multi-query session over product tables (`tables.multi` non-null):
+  /// one sink per unique query, in MultiQueryInfo order. Each query's
+  /// bytes go exclusively to its own sink, and each query's output is
+  /// byte-identical to an independent single-query run.
   /// `query_stats` (may be null) receives per-query matches/output_bytes
   /// on FinalizeStats; the aggregate `stats` counts shared scan work once,
   /// with output_bytes summed over all sinks. Constructing with the

@@ -66,9 +66,6 @@ class Prefilter {
 
   /// The compiled tables (A, V, J, T), for inspection and reports.
   const RuntimeTables& tables() const { return *tables_; }
-  /// True when the engine will dispatch through the interned fast path
-  /// (default; false under TableOptions::use_map_dispatch).
-  bool interned_dispatch() const { return tables_->interned_dispatch; }
   /// Number of runtime-DFA states (paper Table I "States").
   size_t num_states() const { return tables_->states.size(); }
   const dtd::Dtd& dtd() const { return *dtd_; }

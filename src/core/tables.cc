@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <map>
 #include <queue>
 #include <set>
 #include <unordered_set>
@@ -261,9 +262,7 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
   tables.initial = initial;
 
   // Per-state transition maps. These are build-time scaffolding: the
-  // default (interned) tables ship only the flat id-indexed arrays, so the
-  // maps are moved into DfaState solely under use_map_dispatch, where the
-  // legacy engine path dispatches through them.
+  // tables ship only the flat id-indexed arrays built from them below.
   using TransitionMap = std::map<std::string, int, std::less<>>;
   std::vector<TransitionMap> open_maps;
   std::vector<TransitionMap> close_maps;
@@ -375,22 +374,9 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
     state.vocab_tokens.assign(vocab_tokens.begin(), vocab_tokens.end());
   }
 
-  if (opts.use_map_dispatch) {
-    // Legacy engine path: ship the tree maps, skip the interner entirely.
-    for (size_t q = 0; q < subsets.size(); ++q) {
-      tables.states[q].open_next = std::move(open_maps[q]);
-      tables.states[q].close_next = std::move(close_maps[q]);
-    }
-    BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
-    tables.boundary_states = std::move(ba.states);
-    tables.boundary_copy_depths = std::move(ba.copy_depths);
-    return tables;
-  }
-
-  // Interned dispatch (default): collapse every transition tag name into a
-  // dense id and ship flat arrays (-1 = no transition), so the engine
-  // resolves a matched tag with one hash + one array load. The tree maps
-  // stay build-local -- they would be dead weight on this path.
+  // Collapse every transition tag name into a dense id and ship flat
+  // arrays (-1 = no transition), so the engine resolves a matched tag with
+  // one hash + one array load. The tree maps stay build-local.
   std::vector<std::string> names;
   for (size_t q = 0; q < subsets.size(); ++q) {
     for (const auto& [name, to] : open_maps[q]) {
@@ -420,7 +406,6 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
       state.entry_tag_id = tables.interner.Find(state.entry_name);
     }
   }
-  tables.interned_dispatch = true;
   BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
   tables.boundary_states = std::move(ba.states);
   tables.boundary_copy_depths = std::move(ba.copy_depths);
@@ -430,23 +415,18 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
 int RuntimeTables::NextState(int from, std::string_view name,
                              bool closing) const {
   const DfaState& st = states[static_cast<size_t>(from)];
-  if (interned_dispatch) {
-    int32_t id = interner.Find(name);
-    if (id < 0) return -1;
-    const std::vector<int32_t>& next =
-        closing ? st.close_next_id : st.open_next_id;
-    return next[static_cast<size_t>(id)];
-  }
-  const auto& next = closing ? st.close_next : st.open_next;
-  auto it = next.find(name);
-  return it == next.end() ? -1 : it->second;
+  int32_t id = interner.Find(name);
+  if (id < 0) return -1;
+  const std::vector<int32_t>& next =
+      closing ? st.close_next_id : st.open_next_id;
+  return next[static_cast<size_t>(id)];
 }
 
 uint64_t RuntimeTables::Fingerprint() const {
   // Canonical serialization of everything the engine's behavior depends
   // on. Transitions are enumerated through the frontier vocabulary (every
-  // keyword is "<name" or "</name"), so the result is identical under map
-  // and interned dispatch.
+  // keyword is "<name" or "</name"), independent of the interner's id
+  // order.
   std::string canon;
   canon.reserve(64 * states.size() + 64);
   auto put_u64 = [&canon](uint64_t v) {
@@ -504,8 +484,8 @@ uint64_t RuntimeTables::Fingerprint() const {
 }
 
 std::string RuntimeTables::DebugString() const {
-  // Transition names in sorted order, independent of the dispatch mode
-  // (the interner stores them in insertion order).
+  // Transition names in sorted order (the interner stores them in
+  // insertion order).
   std::vector<std::string> names = interner.names();
   std::sort(names.begin(), names.end());
   std::string out;
@@ -519,26 +499,13 @@ std::string RuntimeTables::DebugString() const {
       out += "\"" + s.keywords[i] + "\"";
     }
     out += "}\n";
-    if (interned_dispatch) {
-      for (const std::string& name : names) {
-        int to = NextState(static_cast<int>(q), name, /*closing=*/false);
-        if (to >= 0) {
-          out += "  <" + name + "> -> q" + std::to_string(to) + "\n";
-        }
-      }
-      for (const std::string& name : names) {
-        int to = NextState(static_cast<int>(q), name, /*closing=*/true);
-        if (to >= 0) {
-          out += "  </" + name + "> -> q" + std::to_string(to) + "\n";
-        }
-      }
-    } else {
-      for (const auto& [name, to] : s.open_next) {
-        out += "  <" + name + "> -> q" + std::to_string(to) + "\n";
-      }
-      for (const auto& [name, to] : s.close_next) {
-        out += "  </" + name + "> -> q" + std::to_string(to) + "\n";
-      }
+    for (const std::string& name : names) {
+      int to = NextState(static_cast<int>(q), name, /*closing=*/false);
+      if (to >= 0) out += "  <" + name + "> -> q" + std::to_string(to) + "\n";
+    }
+    for (const std::string& name : names) {
+      int to = NextState(static_cast<int>(q), name, /*closing=*/true);
+      if (to >= 0) out += "  </" + name + "> -> q" + std::to_string(to) + "\n";
     }
   }
   return out;

@@ -10,7 +10,6 @@
 #define SMPX_CORE_TABLES_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -85,15 +84,9 @@ struct DfaState {
   std::vector<std::string> keywords;
   /// Compiled search structure over `keywords` (null iff keywords empty).
   std::unique_ptr<strmatch::Matcher> matcher;
-  /// A[q, <name>] / A[q, </name>] as tree maps: populated ONLY under
-  /// TableOptions::use_map_dispatch (the legacy engine path); dead weight
-  /// otherwise, so the default build leaves them empty. Use
-  /// RuntimeTables::NextState for mode-independent lookups.
-  std::map<std::string, int, std::less<>> open_next;
-  std::map<std::string, int, std::less<>> close_next;
-  /// Interned-dispatch transition arrays: indexed by the tag id from
+  /// A[q, <name>] / A[q, </name>]: indexed by the tag id from
   /// RuntimeTables::interner, -1 = no transition. Sized to the full
-  /// interner vocabulary (empty when map dispatch was requested).
+  /// interner vocabulary. Use RuntimeTables::NextState for lookups by name.
   std::vector<int32_t> open_next_id;
   std::vector<int32_t> close_next_id;
   /// J[q]: characters safely skippable on entering this state.
@@ -107,7 +100,7 @@ struct DfaState {
   // Entry token (unique by homogeneity; empty for the initial state) and
   // precomputed emission strings so copy-tag actions are allocation-free.
   std::string entry_name;
-  /// Interned id of entry_name (-1 for the initial state / map dispatch).
+  /// Interned id of entry_name (-1 for the initial state).
   int32_t entry_tag_id = -1;
   bool entry_closing = false;
   std::string emit_tag;       ///< "<name>" or "</name>"
@@ -166,11 +159,8 @@ struct RuntimeTables {
   int initial = 0;
 
   /// Tag-name -> dense-id table backing the flat per-state transition
-  /// arrays. Empty (and interned_dispatch false) under map dispatch.
+  /// arrays.
   TagInterner interner;
-  /// True when the engine should dispatch through interner +
-  /// open_next_id/close_next_id instead of the tree maps.
-  bool interned_dispatch = false;
 
   /// Static boundary-state analysis: the DFA states the runtime can be in
   /// when the document cursor rests on the '<' of a top-level element
@@ -210,14 +200,13 @@ struct RuntimeTables {
   size_t collapsed_pairs = 0;
 
   /// A[from, <name>] (closing=false) or A[from, </name>] (closing=true);
-  /// -1 when there is no transition. Works in both dispatch modes.
+  /// -1 when there is no transition.
   int NextState(int from, std::string_view name, bool closing) const;
 
   /// Stable 64-bit fingerprint of the runtime-relevant table content:
   /// state count, initial state, and per state the vocabulary, jump,
   /// action, finality, entry token, recursion flag, and every transition
-  /// reachable through the vocabulary -- identical across dispatch modes
-  /// and process runs. A serialized SessionCheckpoint (boundary index,
+  /// reachable through the vocabulary -- identical across process runs. A serialized SessionCheckpoint (boundary index,
   /// cursor token) names DFA states by number, which only means anything
   /// against the tables it was computed from; persisted artifacts record
   /// this fingerprint and fail closed on mismatch.
@@ -232,14 +221,8 @@ struct TableOptions {
   strmatch::Algorithm algorithm = strmatch::Algorithm::kAuto;
   /// Disable J (ablation): all jumps become 0.
   bool enable_initial_jumps = true;
-  /// Keep the legacy std::map tag dispatch (and the engine's per-byte tag
-  /// scanner) instead of the interned fast path; differential-testing and
-  /// benchmarking baseline.
-  bool use_map_dispatch = false;
   /// Disable the matchers' candidate skip loops (classical textbook BM/CW
-  /// scan loops); together with use_map_dispatch this restores the seed's
-  /// matching + tag-resolution hot path (prolog skipping is span-based in
-  /// both modes).
+  /// scan loops, the paper's algorithms as published).
   bool disable_matcher_skip_loops = false;
 };
 

@@ -1,6 +1,8 @@
 #include "parallel/batch.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/io.h"
@@ -8,86 +10,61 @@
 
 namespace smpx::parallel {
 
-std::vector<BatchResult> BatchRun(const core::RuntimeTables& tables,
-                                  const std::vector<std::string_view>& docs,
-                                  ThreadPool* pool,
-                                  const core::EngineOptions& opts) {
-  std::vector<BatchResult> results(docs.size());
-  pool->RunAndWait(docs.size(), [&](size_t i) {
-    StringSink sink;
-    core::PrefilterSession session(tables, &sink, &results[i].stats, opts);
-    Status s = session.Resume(docs[i]);
-    if (s.ok()) s = session.Finish();
-    results[i].status = s;
-    results[i].output = sink.TakeString();
-  });
-  return results;
-}
-
-Status BatchRunMerged(const core::RuntimeTables& tables,
-                      const std::vector<std::string_view>& docs,
-                      OutputSink* out, core::RunStats* stats,
-                      ThreadPool* pool, const core::EngineOptions& opts) {
-  std::vector<BatchResult> results = BatchRun(tables, docs, pool, opts);
-  // Merge the clean prefix only: a failed document's partial projection
-  // (and anything after it) would corrupt the concatenated output, so the
-  // merge stops at the first error and reports it.
-  size_t max_visited = 0;
-  for (const BatchResult& r : results) {
-    if (!r.status.ok()) return r.status;
-    SMPX_RETURN_IF_ERROR(out->Append(r.output));
-    if (stats != nullptr) {
-      MergeRunStats(stats, r.stats);
-      // states_visited is not additive; every document runs the same
-      // automaton, so report the maximum.
-      max_visited = std::max(max_visited, r.stats.states_visited);
-      stats->states_visited = max_visited;
-    }
-  }
-  return Status::Ok();
-}
-
 Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
-                 OutputSink* out, core::RunStats* stats,
-                 const StreamOptions& opts) {
-  core::PrefilterSession session(tables, out, stats, opts.engine);
+                 const std::vector<OutputSink*>& sinks,
+                 std::vector<core::QueryRunStats>* query_stats,
+                 core::RunStats* stats, const StreamOptions& opts) {
+  SMPX_RETURN_IF_ERROR(CheckSinkCount(tables, sinks.size()));
+  if (query_stats != nullptr) query_stats->clear();
+  std::unique_ptr<core::PrefilterSession> session =
+      OpenSession(tables, sinks, query_stats, stats, opts.engine);
   const size_t chunk = std::max<size_t>(1, opts.chunk_bytes);
   std::vector<char> buf(chunk);
   const uint64_t total = src.size();
   uint64_t offset = 0;
-  while (offset < total && !session.finished()) {
+  while (offset < total && !session->finished()) {
     auto n = src.ReadAt(offset, buf.data(), buf.size());
     if (!n.ok()) return n.status();
-    if (*n == 0) break;  // defensive: source shorter than advertised
+    if (*n == 0) {
+      // Blaming the document (Finish's "not in a final state") would hide
+      // the real fault: the source ended early.
+      return Status::IoError("input source ended at offset " +
+                             std::to_string(offset) + " of an advertised " +
+                             std::to_string(total) + " bytes");
+    }
     SMPX_RETURN_IF_ERROR(
-        session.Resume(std::string_view(buf.data(), *n)));
+        session->Resume(std::string_view(buf.data(), *n)));
     offset += *n;
   }
-  if (session.finished()) {
+  if (session->finished()) {
     // Trailing bytes are ignored, as in a serial run; Finish() would be a
     // no-op state-wise but we still want the summary stats filled.
-    session.FinalizeStats();
+    session->FinalizeStats();
     return Status::Ok();
   }
-  return session.Finish();
+  return session->Finish();
 }
 
 std::vector<Status> BatchRunStreaming(
     const core::RuntimeTables& tables,
     const std::vector<const InputSource*>& docs,
-    const std::vector<OutputSink*>& sinks,
+    const std::vector<std::vector<OutputSink*>>& sinks,
+    std::vector<std::vector<core::QueryRunStats>>* query_stats,
     std::vector<core::RunStats>* stats, ThreadPool* pool,
     const StreamOptions& opts) {
   std::vector<Status> statuses(docs.size());
   if (sinks.size() != docs.size()) {
-    statuses.assign(docs.size(),
-                    Status::InvalidArgument("one sink per document required"));
+    statuses.assign(docs.size(), Status::InvalidArgument(
+                                     "one sink set per document required"));
     return statuses;
   }
   if (stats != nullptr) stats->assign(docs.size(), core::RunStats{});
+  if (query_stats != nullptr) query_stats->resize(docs.size());
   pool->RunAndWait(docs.size(), [&](size_t i) {
-    statuses[i] = StreamRun(tables, *docs[i], sinks[i],
-                            stats != nullptr ? &(*stats)[i] : nullptr, opts);
+    statuses[i] = StreamRun(
+        tables, *docs[i], sinks[i],
+        query_stats != nullptr ? &(*query_stats)[i] : nullptr,
+        stats != nullptr ? &(*stats)[i] : nullptr, opts);
   });
   return statuses;
 }
@@ -130,7 +107,7 @@ std::vector<Status> BatchRunStreamingToFiles(
       docs.size());
   pool->RunAndWait(docs.size(), [&](size_t i) {
     auto seg = std::make_unique<SpillSink>(budget, &arena);
-    statuses[i] = StreamRun(tables, *docs[i], seg.get(),
+    statuses[i] = StreamRun(tables, *docs[i], {seg.get()}, nullptr,
                             stats != nullptr ? &(*stats)[i] : nullptr, opts);
     // Install even on failure: the file should hold the partial
     // projection the old always-open-file driver would have written.
@@ -163,8 +140,8 @@ Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
   std::vector<core::RunStats> doc_stats(docs.size());
   pool->RunAndWait(docs.size(), [&](size_t i) {
     auto seg = std::make_unique<SpillSink>(budget, &arena);
-    statuses[i] = StreamRun(tables, *docs[i], seg.get(), &doc_stats[i],
-                            opts);
+    statuses[i] = StreamRun(tables, *docs[i], {seg.get()}, nullptr,
+                            &doc_stats[i], opts);
     if (statuses[i].ok()) {
       // The frontier cannot pass an uninstalled segment, so a document
       // that will fail can never be overtaken by its successors' output:
@@ -186,63 +163,6 @@ Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
     }
   }
   return commit.status();
-}
-
-Status MultiQueryStreamRun(const core::RuntimeTables& tables,
-                           const InputSource& src,
-                           const std::vector<OutputSink*>& query_sinks,
-                           std::vector<core::QueryRunStats>* query_stats,
-                           core::RunStats* stats, const StreamOptions& opts) {
-  if (tables.multi == nullptr) {
-    return Status::InvalidArgument(
-        "MultiQueryStreamRun needs multi-query product tables");
-  }
-  std::vector<core::QueryRunStats> local_qstats;
-  core::PrefilterSession session(
-      tables, query_sinks, query_stats != nullptr ? query_stats : &local_qstats,
-      stats, opts.engine);
-  const size_t chunk = std::max<size_t>(1, opts.chunk_bytes);
-  std::vector<char> buf(chunk);
-  const uint64_t total = src.size();
-  uint64_t offset = 0;
-  while (offset < total && !session.finished()) {
-    auto n = src.ReadAt(offset, buf.data(), buf.size());
-    if (!n.ok()) return n.status();
-    if (*n == 0) break;  // defensive: source shorter than advertised
-    SMPX_RETURN_IF_ERROR(session.Resume(std::string_view(buf.data(), *n)));
-    offset += *n;
-  }
-  if (session.finished()) {
-    session.FinalizeStats();
-    return Status::Ok();
-  }
-  return session.Finish();
-}
-
-std::vector<Status> MultiQueryBatchRunStreaming(
-    const core::RuntimeTables& tables,
-    const std::vector<const InputSource*>& docs,
-    const std::vector<std::vector<OutputSink*>>& sinks,
-    std::vector<std::vector<core::QueryRunStats>>* query_stats,
-    std::vector<core::RunStats>* stats, ThreadPool* pool,
-    const StreamOptions& opts) {
-  std::vector<Status> statuses(docs.size());
-  if (sinks.size() != docs.size()) {
-    statuses.assign(docs.size(), Status::InvalidArgument(
-                                     "one sink set per document required"));
-    return statuses;
-  }
-  if (stats != nullptr) stats->assign(docs.size(), core::RunStats{});
-  if (query_stats != nullptr) {
-    query_stats->assign(docs.size(), std::vector<core::QueryRunStats>{});
-  }
-  pool->RunAndWait(docs.size(), [&](size_t i) {
-    statuses[i] = MultiQueryStreamRun(
-        tables, *docs[i], sinks[i],
-        query_stats != nullptr ? &(*query_stats)[i] : nullptr,
-        stats != nullptr ? &(*stats)[i] : nullptr, opts);
-  });
-  return statuses;
 }
 
 }  // namespace smpx::parallel

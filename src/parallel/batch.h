@@ -4,19 +4,22 @@
 // are assembled in document order, so batch output is deterministic and
 // each document's bytes equal its serial run.
 //
-// Two input shapes:
-//  - BatchRun / BatchRunMerged take whole in-memory documents and buffer
-//    each output (the original PR-2 drivers);
-//  - StreamRun / BatchRunStreaming pull each document through its session
-//    in bounded InputSource chunks and write straight to per-document
-//    sinks, so peak memory is O(window + chunk) per worker regardless of
-//    document size -- the multi-GB batch shape.
+// Every driver pulls its documents through their sessions in bounded
+// InputSource chunks (StreamRun), so peak memory is O(window + chunk) per
+// worker regardless of document size. Output goes to k sinks per document:
+// one for single-query tables, one per unique query for multi-query
+// product tables (see SinkCount in parallel/shard.h). Three shapes:
+//  - StreamRun / BatchRunStreaming write each document's k projections
+//    straight to caller-provided sinks, any table kind;
+//  - BatchRunStreamingToFiles writes one output file per document;
+//  - BatchRunStreamingMerged concatenates all documents into one sink.
+// The last two take single-query tables and order output through the
+// budgeted ordered-commit pipeline (SpillSink / OrderedCommitSink).
 
 #ifndef SMPX_PARALLEL_BATCH_H_
 #define SMPX_PARALLEL_BATCH_H_
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/io.h"
@@ -26,32 +29,6 @@
 #include "parallel/thread_pool.h"
 
 namespace smpx::parallel {
-
-/// Per-document result of a batch run.
-struct BatchResult {
-  Status status;
-  std::string output;
-  core::RunStats stats;
-};
-
-/// Prefilters every document in `docs` concurrently on `pool`. Returns
-/// per-document results in input order. Must not be called from a pool
-/// thread.
-std::vector<BatchResult> BatchRun(const core::RuntimeTables& tables,
-                                  const std::vector<std::string_view>& docs,
-                                  ThreadPool* pool,
-                                  const core::EngineOptions& opts = {});
-
-/// Convenience wrapper: concatenates the outputs in document order into
-/// `out` and merges the statistics into `stats` (may be null). On a
-/// per-document error, returns the first (lowest-index) one and stops the
-/// merge there -- only the clean document prefix reaches `out`. Use
-/// BatchRun directly for per-document error isolation.
-Status BatchRunMerged(const core::RuntimeTables& tables,
-                      const std::vector<std::string_view>& docs,
-                      OutputSink* out, core::RunStats* stats,
-                      ThreadPool* pool,
-                      const core::EngineOptions& opts = {});
 
 struct StreamOptions {
   core::EngineOptions engine;
@@ -66,24 +43,32 @@ struct StreamOptions {
 };
 
 /// Prefilters one document by pulling `src` through a resumable session in
-/// `chunk_bytes` slices: output is byte-identical to the serial engine,
-/// but no more than one chunk (plus the sliding window) is ever resident.
-/// Stops reading as soon as the run reaches a final state, like the serial
-/// engine. `stats` may be null.
+/// `chunk_bytes` slices, writing to `sinks` (SinkCount(tables) of them, in
+/// MultiQueryInfo order on product tables): every sink's bytes are
+/// identical to the corresponding serial run, but no more than one chunk
+/// (plus the sliding window) is ever resident. Stops reading as soon as
+/// the run reaches a final state, like the serial engine. `query_stats`
+/// (may be null) receives per-unique-query totals on product tables and is
+/// cleared for single-query tables; `stats` may be null. Fails with
+/// InvalidArgument on a wrong sink count and with IoError when `src`
+/// delivers fewer bytes than its size() advertises.
 Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
-                 OutputSink* out, core::RunStats* stats,
-                 const StreamOptions& opts = {});
+                 const std::vector<OutputSink*>& sinks,
+                 std::vector<core::QueryRunStats>* query_stats,
+                 core::RunStats* stats, const StreamOptions& opts = {});
 
 /// Streaming batch driver: one StreamRun per document, concurrently on
-/// `pool`, each writing to its own caller-provided sink (sinks.size() must
-/// equal docs.size(); sinks are written from pool threads but never
-/// shared). Returns per-document statuses in input order; `stats` (may be
-/// null) receives per-document RunStats in the same order. Errors are
-/// isolated per document. Must not be called from a pool thread.
+/// `pool`; `sinks[i]` holds document i's k sinks (written from pool
+/// threads but never shared; sinks.size() must equal docs.size()).
+/// Returns per-document statuses in input order; `query_stats` and
+/// `stats` (each may be null) receive per-document totals in the same
+/// order. Errors are isolated per document. Must not be called from a
+/// pool thread.
 std::vector<Status> BatchRunStreaming(
     const core::RuntimeTables& tables,
     const std::vector<const InputSource*>& docs,
-    const std::vector<OutputSink*>& sinks,
+    const std::vector<std::vector<OutputSink*>>& sinks,
+    std::vector<std::vector<core::QueryRunStats>>* query_stats,
     std::vector<core::RunStats>* stats, ThreadPool* pool,
     const StreamOptions& opts = {});
 
@@ -109,49 +94,22 @@ std::vector<Status> BatchRunStreamingToFiles(
     std::vector<core::RunStats>* stats, ThreadPool* pool,
     const StreamOptions& opts = {});
 
-/// Streaming replacement for BatchRunMerged: every document is pulled
-/// through its session in bounded chunks into a budgeted SpillSink
-/// segment, and segments commit into `out` in document order the moment
-/// the frontier reaches them -- workers finishing out of order park their
-/// segment on disk (not memory) until the frontier arrives. Peak resident
-/// memory is O(workers x (window + chunk + budget)) regardless of
-/// document and projection sizes. Error semantics match BatchRunMerged:
-/// the first (lowest-index) per-document error is returned and only the
-/// clean document prefix before it reaches `out`; a failed document
-/// contributes no bytes. `stats` (may be null) receives the merged totals
-/// of that clean prefix. Must not be called from a pool thread.
+/// Merged streaming batch: every document is pulled through its session
+/// in bounded chunks into a budgeted SpillSink segment, and segments
+/// commit into `out` in document order the moment the frontier reaches
+/// them -- workers finishing out of order park their segment on disk (not
+/// memory) until the frontier arrives. Peak resident memory is
+/// O(workers x (window + chunk + budget)) regardless of document and
+/// projection sizes. The first (lowest-index) per-document error is
+/// returned and only the clean document prefix before it reaches `out`; a
+/// failed document contributes no bytes. `stats` (may be null) receives
+/// the merged totals of that clean prefix. Must not be called from a pool
+/// thread.
 Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
                                const std::vector<const InputSource*>& docs,
                                OutputSink* out, core::RunStats* stats,
                                ThreadPool* pool,
                                const StreamOptions& opts = {});
-
-/// Streaming single-document run over multi-query product tables
-/// (`tables.multi` set): pulls `src` through one multi-query session in
-/// bounded chunks, writing each unique query's projection to its own sink
-/// (`query_sinks` in MultiQueryInfo order). Every query's output is
-/// byte-identical to its independent single-query serial run.
-/// `query_stats` (may be null) receives per-unique-query totals.
-Status MultiQueryStreamRun(const core::RuntimeTables& tables,
-                           const InputSource& src,
-                           const std::vector<OutputSink*>& query_sinks,
-                           std::vector<core::QueryRunStats>* query_stats,
-                           core::RunStats* stats,
-                           const StreamOptions& opts = {});
-
-/// Streaming batch over multi-query tables: one MultiQueryStreamRun per
-/// document, concurrently on `pool`; `sinks[i]` holds document i's
-/// per-unique-query sinks (written from pool threads but never shared).
-/// Per-document statuses in input order; `query_stats` (may be null)
-/// receives per-document per-query totals. Must not be called from a pool
-/// thread.
-std::vector<Status> MultiQueryBatchRunStreaming(
-    const core::RuntimeTables& tables,
-    const std::vector<const InputSource*>& docs,
-    const std::vector<std::vector<OutputSink*>>& sinks,
-    std::vector<std::vector<core::QueryRunStats>>* query_stats,
-    std::vector<core::RunStats>* stats, ThreadPool* pool,
-    const StreamOptions& opts = {});
 
 }  // namespace smpx::parallel
 

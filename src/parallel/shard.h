@@ -1,6 +1,10 @@
 // Single-document sharding: split one document at top-level element
 // boundaries (children of the root) and prefilter the shards concurrently,
 // one PrefilterSession per shard against the shared immutable RuntimeTables.
+// One driver serves both table kinds: it writes k output sinks, k = 1 for
+// single-query tables and one per unique query for multi-query product
+// tables (SinkCount), and OpenSession's choice of session constructor is
+// the only place the two kinds part ways.
 //
 // Execution is *fully speculative*: the static boundary-state analysis of
 // BuildTables (RuntimeTables::boundary_states) enumerates every DFA state a
@@ -56,10 +60,11 @@ struct ShardOptions {
   /// the removed serialization saves. Such tables fall back to exit-state
   /// speculation seeded by shard 0.
   size_t max_candidate_states = 4;
-  /// Per-segment output buffering budget in bytes; a shard's projected
-  /// output beyond it overflows to an unlinked temp file (SpillSink) until
-  /// the ordered-commit frontier streams the segment into the caller's
-  /// sink and frees it. 0 keeps segments fully in memory (unbounded, the
+  /// Per-segment output buffering budget in bytes, split evenly across
+  /// the segment's sinks; a shard's projected output beyond it overflows
+  /// to an unlinked temp file (SpillSink) until the ordered-commit
+  /// frontier streams the segment into the caller's sinks and frees it.
+  /// 0 keeps segments fully in memory (unbounded, the
   /// pre-budget behavior). With a budget B, peak resident memory of a
   /// sharded run is O(shards x classes x B) on top of the per-session
   /// windows, independent of document and projection size.
@@ -105,16 +110,13 @@ struct ShardReport {
 /// replay the serial run exactly, so `exit` is provably the serial
 /// engine's checkpoint at the segment's end offset.
 struct ShardResult {
-  /// Budget-bounded output segment; null in discard mode (indexing) and
-  /// after the caller moved it into an ordered committer. Single-query
-  /// tables only; multi-query segments fill `mq_sinks` instead.
-  std::unique_ptr<SpillSink> sink;
-  /// Multi-query tables: one budget-bounded segment per unique query, in
-  /// MultiQueryInfo order (the per-query budget is max_buffer_bytes divided
-  /// by the query count). Moved out by the per-query ordered committers.
-  std::vector<std::unique_ptr<SpillSink>> mq_sinks;
-  /// Multi-query tables: this segment's per-query matches/output bytes.
-  std::vector<core::QueryRunStats> mq_stats;
+  /// Budget-bounded output segments, one per driver sink (see SinkCount),
+  /// moved out by the driver's ordered committers. Empty in discard mode
+  /// (indexing) and after the move.
+  std::vector<std::unique_ptr<SpillSink>> sinks;
+  /// Product tables: this segment's per-query matches/output bytes.
+  /// Empty for single-query tables.
+  std::vector<core::QueryRunStats> query_stats;
   core::RunStats stats;
   core::SessionCheckpoint exit;
   Status status;
@@ -127,9 +129,11 @@ struct ShardResult {
   /// speculatively at copy depth > 0. The speculative session started with
   /// copy_flushed at the boundary, so its own output omits them; the driver
   /// must emit doc[tail_begin, tail_end) immediately BEFORE this segment's
-  /// sink. The bytes are already folded into stats.output_bytes (serial
-  /// parity); empty for clean hand-offs and re-runs (a re-run resumes from
-  /// the true checkpoint and emits them itself).
+  /// output in sinks[0] (only single-query tables, which have one sink,
+  /// speculate in-copy hand-offs). The bytes are already folded into
+  /// stats.output_bytes (serial parity); empty for clean hand-offs and
+  /// re-runs (a re-run resumes from the true checkpoint and emits them
+  /// itself).
   uint64_t tail_begin = 0;
   uint64_t tail_end = 0;
 };
@@ -151,9 +155,10 @@ class SpeculativeResolver {
   struct Options {
     /// See ShardOptions::max_candidate_states.
     size_t max_candidate_states = 4;
-    /// Per-segment SpillSink budget in capture mode; 0 = unbounded.
+    /// Per-segment SpillSink budget in capture mode, split evenly across
+    /// the segment's sinks; 0 = unbounded.
     size_t max_buffer_bytes = 0;
-    /// Capture each segment's projected output in ShardResult::sink.
+    /// Capture each segment's projected output in ShardResult::sinks.
     /// False discards output (byte counts still reach the stats) -- the
     /// indexing mode, which only wants the verified exit checkpoints.
     bool capture_output = true;
@@ -313,35 +318,50 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
 uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
                              uint64_t end, int64_t depth_at_begin);
 
-/// Prefilters `doc` by sharding it across `pool`. Output and the merged
-/// `stats` totals are byte-identical to RunEngine over the same document
-/// (up to search-effort counters, which depend on window geometry).
-/// Every session writes through a per-segment SpillSink bounded by
-/// ShardOptions::max_buffer_bytes; the verification pass commits each
-/// segment into `out` (and frees it) the moment its entry is verified, so
-/// `out` receives the projection as an in-order stream while verification
-/// is still running -- on an error, `out` may hold a partial prefix.
-/// `stats` and `report` may be null. Must not be called from a pool thread.
+/// Prefilters `doc` by sharding it across `pool`, writing k sinks: one for
+/// single-query tables, one per unique query (MultiQueryInfo order) for
+/// product tables. Each sink's bytes and the merged `stats` totals are
+/// byte-identical to a serial run (up to search-effort counters, which
+/// depend on window geometry). Every segment session writes through k
+/// SpillSinks sharing the ShardOptions::max_buffer_bytes budget; the
+/// verification pass commits each verified segment into the k sinks (and
+/// frees it) through one ordered-commit frontier per sink, so the sinks
+/// receive the projection as in-order streams while verification is still
+/// running -- on an error, they may hold a partial prefix. `query_stats`
+/// (may be null) receives per-unique-query totals on product tables and is
+/// left empty for single-query tables; `stats` and `report` may be null.
+/// Fails with InvalidArgument when `sinks` does not hold k sinks. Must not
+/// be called from a pool thread.
+Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
+                  const std::vector<OutputSink*>& sinks,
+                  std::vector<core::QueryRunStats>* query_stats,
+                  core::RunStats* stats, ThreadPool* pool,
+                  const ShardOptions& opts = {},
+                  ShardReport* report = nullptr);
+
+/// Single-sink form of the above, for single-query tables.
 Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
                   OutputSink* out, core::RunStats* stats, ThreadPool* pool,
                   const ShardOptions& opts = {},
                   ShardReport* report = nullptr);
 
-/// Sharded execution of multi-query product tables (`tables.multi` set):
-/// same speculative wave/verify machinery as ShardedRun, but every segment
-/// session writes one budget-bounded SpillSink PER UNIQUE QUERY and each
-/// query's segments stream through their own ordered-commit frontier into
-/// `query_sinks[u]` (one sink per unique query, MultiQueryInfo order). Every
-/// query's output is byte-identical to its independent single-query serial
-/// run. `query_stats` (may be null) receives per-unique-query totals;
-/// `stats`/`report` as in ShardedRun. Must not be called from a pool thread.
-Status MultiQueryShardedRun(const core::RuntimeTables& tables,
-                            std::string_view doc,
-                            const std::vector<OutputSink*>& query_sinks,
-                            std::vector<core::QueryRunStats>* query_stats,
-                            core::RunStats* stats, ThreadPool* pool,
-                            const ShardOptions& opts = {},
-                            ShardReport* report = nullptr);
+/// Number of output sinks (k) a driver over `tables` writes: one per
+/// unique query for product tables, one otherwise.
+size_t SinkCount(const core::RuntimeTables& tables);
+
+/// InvalidArgument unless `sinks` == SinkCount(tables).
+Status CheckSinkCount(const core::RuntimeTables& tables, size_t sinks);
+
+/// Opens the session a k-sink driver runs over one segment or document
+/// (`sinks` must hold SinkCount(tables) sinks). The choice of
+/// PrefilterSession constructor is the only place the drivers tell
+/// single-query and product tables apart; `query_stats` (may be null) is
+/// filled on product tables only.
+std::unique_ptr<core::PrefilterSession> OpenSession(
+    const core::RuntimeTables& tables, const std::vector<OutputSink*>& sinks,
+    std::vector<core::QueryRunStats>* query_stats, core::RunStats* stats,
+    const core::EngineOptions& opts,
+    const core::SessionCheckpoint* start = nullptr);
 
 /// Merges shard- or document-level RunStats into `dst` (counters add,
 /// window peak maxes; states_visited is handled by the callers via the

@@ -171,8 +171,6 @@ void MinimizeComponent(RuntimeTables* t) {
     for (int32_t& v : st.close_next_id) {
       if (v >= 0) v = cls[static_cast<size_t>(v)];
     }
-    for (auto& [name, v] : st.open_next) v = cls[static_cast<size_t>(v)];
-    for (auto& [name, v] : st.close_next) v = cls[static_cast<size_t>(v)];
     states.push_back(std::move(st));
   }
   t->states = std::move(states);
@@ -312,11 +310,6 @@ Result<MultiQuery> MultiQuery::Compile(
         "multi-query compilation does not support recursive DTDs (opaque "
         "regions need per-component nesting counters the shared product "
         "cannot carry)");
-  }
-  if (opts.compile.tables.use_map_dispatch) {
-    return Status::InvalidArgument(
-        "multi-query tables require interned dispatch "
-        "(TableOptions::use_map_dispatch must be false)");
   }
 
   MultiQuery mq;
@@ -704,7 +697,7 @@ Result<MultiQuery> MultiQuery::Compile(
     }
   }
 
-  // Interned dispatch over the product transition names.
+  // Flat id-indexed transitions over the product transition names.
   std::vector<std::string> names;
   for (const BuildState& bs : product) {
     for (const auto& [name, to] : bs.open_to) {
@@ -732,7 +725,6 @@ Result<MultiQuery> MultiQuery::Compile(
       st.entry_tag_id = tables.interner.Find(st.entry_name);
     }
   }
-  tables.interned_dispatch = true;
   core::BoundaryAnalysis ba = core::ComputeBoundaryStates(aut, tables);
   tables.boundary_states = std::move(ba.states);
   tables.boundary_copy_depths = std::move(ba.copy_depths);

@@ -8,10 +8,11 @@
 // duplicates are routed through FanoutSink, never re-executed.
 //
 // Execution drivers: serial one-pass (RunOnBuffer), chunked streaming
-// (Run), sharded single-document (parallel::MultiQueryShardedRun via
-// ShardedRun), and streaming batches (parallel::MultiQueryBatchRun via the
-// CLI). A fused superset projection (one output safe for every query) is
-// available through CompileFused.
+// (Run), and the k-sink parallel drivers over the product tables --
+// sharded single-document (parallel::ShardedRun) and streaming batches
+// (parallel::StreamRun / BatchRunStreaming), fed one sink per unique query
+// through RouteSinks. A fused superset projection (one output safe for
+// every query) is available through CompileFused.
 
 #ifndef SMPX_QUERY_MULTIQUERY_H_
 #define SMPX_QUERY_MULTIQUERY_H_
@@ -33,9 +34,8 @@ namespace smpx::query {
 
 struct MultiQueryOptions {
   /// Table knobs forwarded to every per-query component build and the
-  /// product's matchers. Recursive DTDs (allow_recursion), map dispatch,
-  /// and the shared-vocabulary ablation are rejected: the product needs
-  /// interned dispatch and per-state build analysis.
+  /// product's matchers. Recursive DTDs (allow_recursion) are rejected:
+  /// the product cannot carry per-component nesting counters.
   core::CompileOptions compile;
   /// State-pair budget per semantic equivalence check (see
   /// EquivalentProjectionQueries); exceeded pairs stay un-collapsed.

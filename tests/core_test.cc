@@ -406,53 +406,29 @@ TEST(TagInternerTest, SurvivesRehashGrowth) {
   EXPECT_EQ(interner.Find("tag500"), -1);
 }
 
-TEST_F(Fig3Tables, InternedDispatchMirrorsMapDispatch) {
-  // The default (interned) tables must agree transition-for-transition with
-  // a map-dispatch compile of the same inputs -- and must NOT carry the
-  // legacy tree maps, which are dead weight on the interned path.
+TEST_F(Fig3Tables, FlatTransitionsMatchTheVocabulary) {
+  // Every frontier keyword "<t" / "</t" has exactly one flat transition,
+  // and the entry ids point back at the entry names.
   const RuntimeTables& t = pf_->tables();
-  ASSERT_TRUE(t.interned_dispatch);
   EXPECT_GT(t.interner.size(), 0);
-  for (const DfaState& s : t.states) {
-    EXPECT_TRUE(s.open_next.empty());
-    EXPECT_TRUE(s.close_next.empty());
+  for (size_t q = 0; q < t.states.size(); ++q) {
+    const DfaState& s = t.states[q];
     if (!s.entry_name.empty()) {
       EXPECT_EQ(s.entry_tag_id, t.interner.Find(s.entry_name));
     }
-  }
-
-  CompileOptions map_opts;
-  map_opts.tables.use_map_dispatch = true;
-  Prefilter map_pf = Compile(kPaperDtd, "/a/b#", map_opts);
-  const RuntimeTables& m = map_pf.tables();
-  ASSERT_EQ(m.states.size(), t.states.size());
-  for (size_t q = 0; q < m.states.size(); ++q) {
-    int flat_open = 0;
-    int flat_close = 0;
-    for (int32_t v : t.states[q].open_next_id) flat_open += v >= 0 ? 1 : 0;
-    for (int32_t v : t.states[q].close_next_id) {
-      flat_close += v >= 0 ? 1 : 0;
-    }
-    EXPECT_EQ(flat_open, static_cast<int>(m.states[q].open_next.size()));
-    EXPECT_EQ(flat_close, static_cast<int>(m.states[q].close_next.size()));
-    for (const auto& [name, to] : m.states[q].open_next) {
-      EXPECT_EQ(t.NextState(static_cast<int>(q), name, false), to);
-    }
-    for (const auto& [name, to] : m.states[q].close_next) {
-      EXPECT_EQ(t.NextState(static_cast<int>(q), name, true), to);
+    size_t flat = 0;
+    for (int32_t v : s.open_next_id) flat += v >= 0 ? 1 : 0;
+    for (int32_t v : s.close_next_id) flat += v >= 0 ? 1 : 0;
+    EXPECT_EQ(flat, s.keywords.size());
+    for (const std::string& kw : s.keywords) {
+      const bool closing = kw[1] == '/';
+      EXPECT_GE(t.NextState(static_cast<int>(q),
+                            std::string_view(kw).substr(closing ? 2 : 1),
+                            closing),
+                0)
+          << kw;
     }
   }
-}
-
-TEST(EngineTest, MapDispatchFlagDisablesInterner) {
-  CompileOptions opts;
-  opts.tables.use_map_dispatch = true;
-  Prefilter pf = Compile(kPaperDtd, "/a/b#", opts);
-  EXPECT_FALSE(pf.tables().interned_dispatch);
-  EXPECT_TRUE(pf.tables().interner.empty());
-  std::string out =
-      Filter(pf, "<a><b>one</b><c><b>shielded</b></c><b>two</b></a>");
-  EXPECT_EQ(out, "<a><b>one</b><b>two</b></a>");
 }
 
 TEST(EngineTest, AlternativeFrontierAlgorithms) {

@@ -166,10 +166,10 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
     MemorySource src(doc);
     std::vector<const InputSource*> docs = {&src, &src};
     StringSink s0, s1;
-    std::vector<OutputSink*> sinks = {&s0, &s1};
+    std::vector<std::vector<OutputSink*>> sinks = {{&s0}, {&s1}};
     std::vector<RunStats> stats;
     std::vector<Status> statuses = parallel::BatchRunStreaming(
-        pf.tables(), docs, sinks, &stats, &pool, sopts);
+        pf.tables(), docs, sinks, nullptr, &stats, &pool, sopts);
     for (size_t i = 0; i < statuses.size(); ++i) {
       ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
       EXPECT_EQ(stats[i].matches, serial_stats.matches);
@@ -561,10 +561,9 @@ TEST(FuzzDiffTest, MultiQueryMixesMatchIndependentRuns) {
       mq->RouteSinks(ptrs, &owned, &unique_sinks);
       std::vector<QueryRunStats> unique_stats;
       RunStats stats;
-      Status s =
-          parallel::MultiQueryShardedRun(*mq->shared_tables(), doc,
-                                         unique_sinks, &unique_stats, &stats,
-                                         &pool, sopts);
+      Status s = parallel::ShardedRun(*mq->shared_tables(), doc,
+                                      unique_sinks, &unique_stats, &stats,
+                                      &pool, sopts);
       ASSERT_TRUE(s.ok()) << s.ToString();
       std::vector<QueryRunStats> qstats;
       mq->ExpandStats(unique_stats, &qstats);
@@ -585,9 +584,8 @@ TEST(FuzzDiffTest, MultiQueryMixesMatchIndependentRuns) {
       mq->RouteSinks(ptrs, &owned, &unique_sinks);
       std::vector<QueryRunStats> unique_stats;
       RunStats stats;
-      Status s = parallel::MultiQueryStreamRun(*mq->shared_tables(), src,
-                                               unique_sinks, &unique_stats,
-                                               &stats, sopts);
+      Status s = parallel::StreamRun(*mq->shared_tables(), src, unique_sinks,
+                                     &unique_stats, &stats, sopts);
       ASSERT_TRUE(s.ok()) << s.ToString();
       std::vector<QueryRunStats> qstats;
       mq->ExpandStats(unique_stats, &qstats);

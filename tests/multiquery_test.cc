@@ -9,10 +9,12 @@
 // subsumption), the N=1 degenerate case against the single-query engine,
 // N=65 mask-word spill (two uint64_t words per state), fused-superset
 // projection safety per Definition 2, and the rejection surface (recursive
-// DTDs, map dispatch, shared vocabulary, single-query drivers fed product
-// tables, boundary indexing over product tables).
+// DTDs, wrong sink counts on the k-sink drivers, boundary indexing over
+// product tables).
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -144,8 +146,8 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     mq.RouteSinks(ptrs, &owned, &unique_sinks);
     std::vector<core::QueryRunStats> uq_stats;
     core::RunStats stats;
-    Status s = parallel::MultiQueryShardedRun(mq.tables(), doc, unique_sinks,
-                                              &uq_stats, &stats, &pool, popts);
+    Status s = parallel::ShardedRun(mq.tables(), doc, unique_sinks,
+                                    &uq_stats, &stats, &pool, popts);
     ASSERT_TRUE(s.ok()) << s.ToString();
     std::vector<core::QueryRunStats> qstats;
     mq.ExpandStats(uq_stats, &qstats);
@@ -170,7 +172,7 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
       mq.RouteSinks(ptrs, &owned[d], &doc_sinks[d]);
     }
     std::vector<std::vector<core::QueryRunStats>> doc_qstats;
-    std::vector<Status> statuses = parallel::MultiQueryBatchRunStreaming(
+    std::vector<Status> statuses = parallel::BatchRunStreaming(
         mq.tables(), docs, doc_sinks, &doc_qstats, nullptr, &pool, sopts);
     for (size_t d = 0; d < 2; ++d) {
       ASSERT_TRUE(statuses[d].ok()) << statuses[d].ToString();
@@ -423,12 +425,6 @@ TEST(MultiQueryTest, RejectsUnsupportedModesAndInputs) {
     auto mq = MultiQuery::Compile(dtd, one, opts);
     EXPECT_FALSE(mq.ok());
   }
-  {  // Legacy map dispatch: the product needs interned transition arrays.
-    MultiQueryOptions opts;
-    opts.compile.tables.use_map_dispatch = true;
-    auto mq = MultiQuery::Compile(dtd, one, opts);
-    EXPECT_FALSE(mq.ok());
-  }
 }
 
 TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
@@ -448,24 +444,102 @@ TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
     auto idx = index::BoundaryIndex::Build(mq.tables(), doc, &pool, {});
     EXPECT_FALSE(idx.ok());
   }
-  {  // Wrong sink count fails closed.
-    parallel::ThreadPool pool(2);
-    StringSink sink;
-    std::vector<OutputSink*> sinks = {&sink};
-    Status s = parallel::MultiQueryShardedRun(mq.tables(), doc, sinks,
-                                              nullptr, nullptr, &pool, {});
-    EXPECT_FALSE(s.ok());
+}
+
+TEST(MultiQueryTest, KSinkDriversRejectAWrongSinkCount) {
+  // k = 1 for single-query tables, k = num_queries for product tables;
+  // any other count is an InvalidArgument, never a crash or a silent drop.
+  const dtd::Dtd dtd = MustDtd(kPaperDtd);
+  MultiQuery mq = CompileMix(dtd, {"/a/b", "/a/c#", "/a/c/b#"});
+  const size_t m = static_cast<size_t>(mq.num_unique());
+  ASSERT_EQ(m, 3u);
+  auto pf = core::Prefilter::Compile(dtd, MustParse("/a/b"));
+  ASSERT_TRUE(pf.ok());
+  const std::string doc =
+      "<a><b>x</b><c><b>y</b></c><b>z</b><c><b>w</b><b>v</b></c></a>";
+  MemorySource src(doc);
+  std::vector<StringSink> storage(m + 1);
+  auto sinks_of = [&storage](size_t n) {
+    std::vector<OutputSink*> out;
+    for (size_t i = 0; i < n; ++i) out.push_back(&storage[i]);
+    return out;
+  };
+  struct Case {
+    const core::RuntimeTables* tables;
+    size_t sinks;
+  };
+  for (const Case& c : {Case{&pf->tables(), 0}, Case{&pf->tables(), 2},
+                        Case{&mq.tables(), m - 1}, Case{&mq.tables(), m + 1}}) {
+    SCOPED_TRACE(c.sinks);
+    parallel::ThreadPool pool(4);
+    Status sharded = parallel::ShardedRun(*c.tables, doc, sinks_of(c.sinks),
+                                          nullptr, nullptr, &pool, {});
+    EXPECT_EQ(sharded.code(), StatusCode::kInvalidArgument)
+        << sharded.ToString();
+    Status streamed = parallel::StreamRun(*c.tables, src, sinks_of(c.sinks),
+                                          nullptr, nullptr, {});
+    EXPECT_EQ(streamed.code(), StatusCode::kInvalidArgument)
+        << streamed.ToString();
+    for (const StringSink& s : storage) EXPECT_EQ(s.str(), "");
   }
-  {  // And the multi-query streaming driver rejects single-query tables.
-    auto pf = core::Prefilter::Compile(dtd, MustParse("/a/b"));
-    ASSERT_TRUE(pf.ok());
-    MemorySource src(doc);
-    StringSink sink;
-    std::vector<OutputSink*> sinks = {&sink};
-    Status s = parallel::MultiQueryStreamRun(pf->tables(), src, sinks,
-                                             nullptr, nullptr, {});
-    EXPECT_FALSE(s.ok());
+}
+
+/// InputSource double that advertises the whole document but delivers
+/// only its first `available` bytes, as a file truncated mid-run does.
+class ShortSource : public InputSource {
+ public:
+  ShortSource(std::string_view data, size_t available)
+      : data_(data), available_(available) {}
+  uint64_t size() const override { return data_.size(); }
+  Result<size_t> ReadAt(uint64_t offset, char* buf,
+                        size_t len) const override {
+    if (offset >= available_) return size_t{0};
+    const size_t n = std::min<size_t>(len, available_ - offset);
+    std::memcpy(buf, data_.data() + offset, n);
+    return n;
   }
+
+ private:
+  std::string_view data_;
+  size_t available_;
+};
+
+TEST(MultiQueryTest, StreamDriversFailClosedOnAShortSource) {
+  // A source that ends before its advertised size is an I/O fault naming
+  // the offset reached, not a "document invalid w.r.t. the DTD" verdict.
+  const dtd::Dtd dtd = MustDtd(kPaperDtd);
+  MultiQuery mq = CompileMix(dtd, {"/a/b", "/a/c#"});
+  auto pf = core::Prefilter::Compile(dtd, MustParse("/a/b"));
+  ASSERT_TRUE(pf.ok());
+  const std::string doc = "<a><b>x</b><c><b>y</b></c><b>z</b></a>";
+  ShortSource short_src(doc, 20);
+  parallel::StreamOptions sopts;
+  sopts.chunk_bytes = 8;
+  for (const core::RuntimeTables* tables : {&pf->tables(), &mq.tables()}) {
+    std::vector<StringSink> storage(parallel::SinkCount(*tables));
+    std::vector<OutputSink*> sinks;
+    for (StringSink& sink : storage) sinks.push_back(&sink);
+    Status s =
+        parallel::StreamRun(*tables, short_src, sinks, nullptr, nullptr, sopts);
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+    EXPECT_NE(s.message().find("offset 20 "), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find(std::to_string(doc.size())),
+              std::string::npos)
+        << s.ToString();
+  }
+
+  // In a merged batch the short document contributes no bytes, and its
+  // error is the one returned.
+  MemorySource ok1("<a><b>1</b></a>");
+  MemorySource ok2("<a><b>2</b></a>");
+  std::vector<const InputSource*> srcs = {&ok1, &short_src, &ok2};
+  parallel::ThreadPool pool(3);
+  StringSink merged;
+  Status s = parallel::BatchRunStreamingMerged(pf->tables(), srcs, &merged,
+                                               nullptr, &pool, sopts);
+  EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+  EXPECT_EQ(merged.str(), "<a><b></b></a>");  // ok1 only
 }
 
 }  // namespace

@@ -517,15 +517,6 @@ TEST(BoundaryStatesTest, OpaqueRecursionCandidatesContainTrueStates) {
   }
 }
 
-TEST(BoundaryStatesTest, MapDispatchGetsTheSameAnalysis) {
-  CompileOptions copts;
-  copts.tables.use_map_dispatch = true;
-  Prefilter legacy = Compile(kPaperDtd, "/a/b#", copts);
-  Prefilter modern = Compile(kPaperDtd, "/a/b#");
-  EXPECT_EQ(legacy.tables().boundary_states,
-            modern.tables().boundary_states);
-}
-
 // --- Sharded execution ----------------------------------------------------
 
 /// Asserts byte-identical output and equal semantic stat totals between the
@@ -802,6 +793,55 @@ TEST(ShardedRunTest, InCopyBoundariesSpeculateWithoutReruns) {
   }
 }
 
+TEST(ShardedRunTest, KSinkFormWithOneSinkMatchesTheSingleSinkForm) {
+  // The single-sink ShardedRun forwards to the k-sink one; both must stay
+  // byte- and stat-identical, clean hand-offs (/a/b#) and in-copy hand-offs
+  // whose tail goes to sinks[0] (/a#) alike.
+  std::string doc = "<a>";
+  for (int i = 0; i < 400; ++i) {
+    doc += "<b>keep " + std::to_string(i) + "</b><c><b>no</b></c>";
+  }
+  doc += "</a>";
+  for (const char* path : {"/a/b#", "/a#"}) {
+    SCOPED_TRACE(path);
+    Prefilter pf = Compile(kPaperDtd, path);
+    for (size_t budget : {size_t{0}, size_t{64}}) {
+      SCOPED_TRACE(budget);
+      parallel::ThreadPool pool(4);
+      parallel::ShardOptions opts;
+      opts.max_shards = 4;
+      opts.max_buffer_bytes = budget;
+      StringSink one_sink;
+      RunStats one_stats;
+      parallel::ShardReport one_report;
+      ASSERT_TRUE(parallel::ShardedRun(pf.tables(), doc, &one_sink,
+                                       &one_stats, &pool, opts, &one_report)
+                      .ok());
+      StringSink k_sink;
+      RunStats k_stats;
+      parallel::ShardReport k_report;
+      std::vector<QueryRunStats> query_stats(1);
+      ASSERT_TRUE(parallel::ShardedRun(pf.tables(), doc, {&k_sink},
+                                       &query_stats, &k_stats, &pool, opts,
+                                       &k_report)
+                      .ok());
+      EXPECT_EQ(k_sink.str(), one_sink.str());
+      EXPECT_EQ(k_sink.str(), SerialRun(pf, doc));
+      EXPECT_TRUE(query_stats.empty());  // product tables only
+      EXPECT_EQ(k_stats.matches, one_stats.matches);
+      EXPECT_EQ(k_stats.output_bytes, one_stats.output_bytes);
+      EXPECT_EQ(k_stats.input_bytes, one_stats.input_bytes);
+      EXPECT_EQ(k_stats.states_visited, one_stats.states_visited);
+      EXPECT_EQ(k_report.accepted, one_report.accepted);
+      EXPECT_EQ(k_report.reruns, one_report.reruns);
+      EXPECT_EQ(k_report.copy_handoffs, one_report.copy_handoffs);
+      if (std::string_view(path) == "/a#") {
+        EXPECT_EQ(k_report.copy_handoffs, 3u);
+      }
+    }
+  }
+}
+
 TEST(ShardedRunTest, InCopyBoundariesUnderTinyBudgetSpillCleanly) {
   // Same deep-copy shape under a 1 KiB per-shard budget: the hand-off
   // tails interleave with spilled segment streams through the ordered
@@ -972,28 +1012,36 @@ TEST(BatchRunTest, ManyDocumentsMatchPerDocumentSerialRuns) {
     doc += "</a>";
     docs.push_back(doc);
   }
-  std::vector<std::string_view> views(docs.begin(), docs.end());
+  std::vector<MemorySource> sources(docs.begin(), docs.end());
+  std::vector<const InputSource*> srcs;
+  for (const MemorySource& s : sources) srcs.push_back(&s);
 
-  std::string expected;
-  RunStats expected_stats;
-  for (const std::string& d : docs) {
-    RunStats st;
-    expected += SerialRun(pf, d, &st);
-    parallel::MergeRunStats(&expected_stats, st);
+  std::vector<std::string> expected;
+  std::vector<RunStats> expected_stats(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    expected.push_back(SerialRun(pf, docs[i], &expected_stats[i]));
   }
 
   for (int threads : {1, 2, 4, 7}) {
     SCOPED_TRACE(threads);
     parallel::ThreadPool pool(threads);
-    StringSink sink;
-    RunStats stats;
-    Status s = parallel::BatchRunMerged(pf.tables(), views, &sink, &stats,
-                                        &pool);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ(sink.str(), expected);
-    EXPECT_EQ(stats.matches, expected_stats.matches);
-    EXPECT_EQ(stats.output_bytes, expected_stats.output_bytes);
-    EXPECT_EQ(stats.input_bytes, expected_stats.input_bytes);
+    parallel::StreamOptions sopts;
+    sopts.chunk_bytes = 41;
+    std::vector<StringSink> sinks(docs.size());
+    std::vector<std::vector<OutputSink*>> doc_sinks;
+    for (StringSink& sink : sinks) doc_sinks.push_back({&sink});
+    std::vector<RunStats> stats;
+    std::vector<Status> statuses = parallel::BatchRunStreaming(
+        pf.tables(), srcs, doc_sinks, nullptr, &stats, &pool, sopts);
+    ASSERT_EQ(statuses.size(), docs.size());
+    for (size_t i = 0; i < docs.size(); ++i) {
+      SCOPED_TRACE(i);
+      ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+      EXPECT_EQ(sinks[i].str(), expected[i]);
+      EXPECT_EQ(stats[i].matches, expected_stats[i].matches);
+      EXPECT_EQ(stats[i].output_bytes, expected_stats[i].output_bytes);
+      EXPECT_EQ(stats[i].input_bytes, expected_stats[i].input_bytes);
+    }
   }
 }
 
@@ -1001,20 +1049,25 @@ TEST(BatchRunTest, PerDocumentErrorsAreIsolatedAndOrdered) {
   const char dtd[] =
       "<!DOCTYPE a [ <!ELEMENT a (b)*> <!ELEMENT b (#PCDATA)> ]>";
   Prefilter pf = Compile(dtd, "/a/b#");
-  std::vector<std::string_view> docs = {
-      "<a><b>ok1</b></a>",
-      "<a><b>truncated",  // invalid
-      "<a><b>ok2</b></a>",
+  std::vector<MemorySource> sources = {
+      MemorySource("<a><b>ok1</b></a>"),
+      MemorySource("<a><b>truncated"),  // invalid
+      MemorySource("<a><b>ok2</b></a>"),
   };
+  std::vector<const InputSource*> srcs;
+  for (const MemorySource& s : sources) srcs.push_back(&s);
+  std::vector<StringSink> sinks(3);
+  std::vector<std::vector<OutputSink*>> doc_sinks;
+  for (StringSink& sink : sinks) doc_sinks.push_back({&sink});
   parallel::ThreadPool pool(3);
-  std::vector<parallel::BatchResult> results =
-      parallel::BatchRun(pf.tables(), docs, &pool);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].status.ok());
-  EXPECT_FALSE(results[1].status.ok());
-  EXPECT_TRUE(results[2].status.ok());
-  EXPECT_EQ(results[0].output, "<a><b>ok1</b></a>");
-  EXPECT_EQ(results[2].output, "<a><b>ok2</b></a>");
+  std::vector<Status> statuses = parallel::BatchRunStreaming(
+      pf.tables(), srcs, doc_sinks, nullptr, nullptr, &pool);
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_EQ(statuses[1].code(), StatusCode::kParseError);
+  EXPECT_TRUE(statuses[2].ok());
+  EXPECT_EQ(sinks[0].str(), "<a><b>ok1</b></a>");
+  EXPECT_EQ(sinks[2].str(), "<a><b>ok2</b></a>");
 }
 
 TEST(BatchRunTest, StreamingMergedMatchesBufferedMergeAcrossBudgets) {
@@ -1065,9 +1118,9 @@ TEST(BatchRunTest, StreamingMergedMatchesBufferedMergeAcrossBudgets) {
 }
 
 TEST(BatchRunTest, StreamingMergedStopsAtTheFirstError) {
-  // BatchRunMerged semantics: the first (lowest-index) failing document is
-  // reported and only the clean prefix before it is emitted -- even though
-  // later documents finish fine (possibly first) on other workers.
+  // The first (lowest-index) failing document is reported and only the
+  // clean prefix before it is emitted -- even though later documents
+  // finish fine (possibly first) on other workers.
   const char dtd[] =
       "<!DOCTYPE a [ <!ELEMENT a (b)*> <!ELEMENT b (#PCDATA)> ]>";
   Prefilter pf = Compile(dtd, "/a/b#");

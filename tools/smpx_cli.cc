@@ -619,9 +619,9 @@ int main(int argc, char** argv) {
       std::vector<std::vector<smpx::core::QueryRunStats>> doc_qstats;
       std::vector<smpx::core::RunStats> doc_stats;
       std::vector<smpx::Status> statuses =
-          smpx::parallel::MultiQueryBatchRunStreaming(
-              mq->tables(), srcs, doc_sinks, &doc_qstats, &doc_stats, &pool,
-              sopts);
+          smpx::parallel::BatchRunStreaming(mq->tables(), srcs, doc_sinks,
+                                            &doc_qstats, &doc_stats, &pool,
+                                            sopts);
       for (size_t i = 0; i < statuses.size(); ++i) {
         for (auto& f : files[i]) {
           smpx::Status fs = f->Flush();
@@ -678,9 +678,9 @@ int main(int argc, char** argv) {
         std::vector<smpx::OutputSink*> unique_sinks;
         mq->RouteSinks(originals, &owned, &unique_sinks);
         std::vector<smpx::core::QueryRunStats> uq_stats;
-        s = smpx::parallel::MultiQueryShardedRun(mq->tables(), mq_docs[0],
-                                                 unique_sinks, &uq_stats,
-                                                 &stats, &pool, popts);
+        s = smpx::parallel::ShardedRun(mq->tables(), mq_docs[0],
+                                       unique_sinks, &uq_stats, &stats,
+                                       &pool, popts);
         if (s.ok()) mq->ExpandStats(uq_stats, &qstats);
       } else {
         smpx::MemoryInputStream in(mq_docs[0]);
