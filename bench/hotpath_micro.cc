@@ -15,6 +15,9 @@
 // Reports tags/sec and bytes/sec per workload plus the full/classic and
 // simd/swar ratios; the outputs of all paths (and all tiers) are
 // cross-checked byte-for-byte before timing, and a disagreement exits 1.
+// A last row, XM-mix, runs all the workloads as ONE pass over product
+// tables (query::MultiQuery::RunOnBuffer, same columns); each of its
+// outputs must equal that workload's single-query projection.
 // Figures for the seed hot path (std::map tag dispatch, per-byte tag
 // scanning) are archived in bench/results/BENCH_hotpath_micro.before.json.
 //
@@ -27,11 +30,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/io.h"
 #include "common/timer.h"
 #include "core/prefilter.h"
+#include "query/multiquery.h"
 #include "simd/simd.h"
 #include "xmlgen/xmark.h"
 
@@ -55,15 +60,14 @@ struct Measurement {
   }
 };
 
-Measurement Measure(const core::Prefilter& pf, const std::string& doc,
-                    int reps) {
+/// Best-of-`reps` wall time of `run(stats)`, one full pass over the document.
+template <typename RunFn>
+Measurement Measure(RunFn run, int reps) {
   Measurement best;
   for (int r = 0; r < reps; ++r) {
-    MemoryInputStream in(doc);
-    CountingSink sink;
     core::RunStats stats;
     WallTimer timer;
-    Status s = pf.Run(&in, &sink, &stats);
+    Status s = run(&stats);
     double seconds = timer.Seconds();
     if (!s.ok()) {
       std::fprintf(stderr, "run failed: %s\n", s.ToString().c_str());
@@ -76,6 +80,42 @@ Measurement Measure(const core::Prefilter& pf, const std::string& doc,
     }
   }
   return best;
+}
+
+Measurement Measure(const core::Prefilter& pf, const std::string& doc,
+                    int reps) {
+  return Measure(
+      [&](core::RunStats* stats) {
+        MemoryInputStream in(doc);
+        CountingSink sink;
+        return pf.Run(&in, &sink, stats);
+      },
+      reps);
+}
+
+/// One pass of the whole mix, every query into its own counting sink.
+Measurement Measure(const query::MultiQuery& mq, const std::string& doc,
+                    int reps) {
+  return Measure(
+      [&](core::RunStats* stats) {
+        std::vector<CountingSink> sinks(static_cast<size_t>(mq.num_queries()));
+        std::vector<OutputSink*> ptrs;
+        for (CountingSink& sink : sinks) ptrs.push_back(&sink);
+        return mq.RunOnBuffer(doc, ptrs, nullptr, stats);
+      },
+      reps);
+}
+
+/// Per-query outputs of one pass of the mix, or an empty vector on error.
+std::vector<std::string> MixOutputs(const query::MultiQuery& mq,
+                                    const std::string& doc) {
+  std::vector<StringSink> sinks(static_cast<size_t>(mq.num_queries()));
+  std::vector<OutputSink*> ptrs;
+  for (StringSink& sink : sinks) ptrs.push_back(&sink);
+  if (!mq.RunOnBuffer(doc, ptrs).ok()) return {};
+  std::vector<std::string> outs;
+  for (StringSink& sink : sinks) outs.push_back(sink.TakeString());
+  return outs;
 }
 
 std::string Rate(double v) {
@@ -106,6 +146,23 @@ core::Prefilter MustCompile(const Workload& w,
   return std::move(*pf);
 }
 
+query::MultiQuery MustCompileMix(const core::CompileOptions& opts) {
+  std::vector<std::vector<paths::ProjectionPath>> queries;
+  for (const Workload& w : XmarkWorkloads()) {
+    queries.push_back(MustPaths(w.projection_paths));
+  }
+  query::MultiQueryOptions mopts;
+  mopts.compile = opts;
+  auto mq = query::MultiQuery::Compile(xmlgen::XmarkDtd(), std::move(queries),
+                                       mopts);
+  if (!mq.ok()) {
+    std::fprintf(stderr, "XM-mix: compile failed: %s\n",
+                 mq.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(*mq);
+}
+
 int Run() {
   const uint64_t bytes = ScaleBytes();
   const std::string& doc = Dataset("xmark", bytes);
@@ -126,6 +183,7 @@ int Run() {
   double geomean_tier = 1;
   double worst_tier = 0;
   int rows = 0;
+  std::vector<std::string> singles;  // single-query projections, in order
   for (const Workload& w : XmarkWorkloads()) {
     core::CompileOptions classic_opts;
     classic_opts.tables.disable_matcher_skip_loops = true;
@@ -147,6 +205,7 @@ int Run() {
       std::fprintf(stderr, "%s: hot-path variants disagree!\n", w.id);
       return 1;
     }
+    singles.push_back(std::move(*out_full));
 
     Measurement m_classic = Measure(classic, doc, reps);
     simd::SetIsa(simd::Isa::kScalar);
@@ -169,10 +228,44 @@ int Run() {
                   Fmt("%.2fx", speedup_tier), Fmt("%.1f", m_simd.MbPerSec()),
                   isa, std::to_string(m_simd.tags)});
   }
+
+  // The mix in one pass over product tables: every query's output must be
+  // its single-query projection, under every path and tier.
+  core::CompileOptions classic_opts;
+  classic_opts.tables.disable_matcher_skip_loops = true;
+  query::MultiQuery mix_classic = MustCompileMix(classic_opts);
+  query::MultiQuery mix = MustCompileMix(core::CompileOptions{});
+  bool mix_ok = MixOutputs(mix_classic, doc) == singles &&
+                MixOutputs(mix, doc) == singles;
+  simd::SetIsa(simd::Isa::kScalar);
+  mix_ok = mix_ok && MixOutputs(mix, doc) == singles;
+  simd::SetIsa(simd::Isa::kSwar);
+  mix_ok = mix_ok && MixOutputs(mix, doc) == singles;
+  simd::SetIsa(best);
+  if (!mix_ok) {
+    std::fprintf(stderr, "XM-mix: one-pass outputs disagree with the "
+                         "single-query projections!\n");
+    return 1;
+  }
+  Measurement x_classic = Measure(mix_classic, doc, reps);
+  simd::SetIsa(simd::Isa::kScalar);
+  Measurement x_scalar = Measure(mix, doc, reps);
+  simd::SetIsa(simd::Isa::kSwar);
+  Measurement x_swar = Measure(mix, doc, reps);
+  simd::SetIsa(best);
+  Measurement x_simd = Measure(mix, doc, reps);
+  table.AddRow({"XM-mix", Rate(x_classic.TagsPerSec()),
+                Rate(x_scalar.TagsPerSec()), Rate(x_swar.TagsPerSec()),
+                Rate(x_simd.TagsPerSec()),
+                Fmt("%.2fx", x_classic.seconds / x_simd.seconds),
+                Fmt("%.2fx", x_swar.seconds / x_simd.seconds),
+                Fmt("%.1f", x_simd.MbPerSec()), isa,
+                std::to_string(x_simd.tags)});
   table.Print("hotpath_micro");
   std::printf(
-      "full pipeline vs classical loops: worst %.2fx, geomean %.2fx; %s "
-      "kernels vs swar kernels: worst %.2fx, geomean %.2fx\n",
+      "single-query rows, full pipeline vs classical loops: worst %.2fx, "
+      "geomean %.2fx; %s kernels vs swar kernels: worst %.2fx, geomean "
+      "%.2fx\n",
       worst_full, rows > 0 ? std::pow(geomean_full, 1.0 / rows) : 0.0, isa,
       worst_tier, rows > 0 ? std::pow(geomean_tier, 1.0 / rows) : 0.0);
   return 0;

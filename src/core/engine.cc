@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "common/strings.h"
@@ -119,7 +118,7 @@ class PrefilterSession::Impl {
       }
       mq_ = mq;
       const size_t n = static_cast<size_t>(mq->num_queries);
-      mq_matches_.assign(n, 0);
+      mq_entries_.assign(tables_.states.size(), 0);
       if (start != nullptr && !start->mq_copy_depth.empty()) {
         mq_copy_depth_ = start->mq_copy_depth;
         mq_copy_flushed_ = start->mq_copy_flushed;
@@ -207,6 +206,16 @@ class PrefilterSession::Impl {
     if (mq_ != nullptr) {
       cp.mq_copy_depth = mq_copy_depth_;
       cp.mq_copy_flushed = mq_copy_flushed_;
+      // The aggregate is the minimum flushed position over the actively
+      // copying queries (0 when none copies: then nothing reads it).
+      cp.copy_flushed = 0;
+      bool any = false;
+      for (size_t qy = 0; qy < mq_copy_depth_.size(); ++qy) {
+        if (mq_copy_depth_[qy] == 0) continue;
+        cp.copy_flushed = any ? std::min(cp.copy_flushed, mq_copy_flushed_[qy])
+                              : mq_copy_flushed_[qy];
+        any = true;
+      }
     }
     return cp;
   }
@@ -221,8 +230,21 @@ class PrefilterSession::Impl {
       stats_->output_bytes = total;
       if (mq_qstats_ != nullptr) {
         mq_qstats_->assign(mq_sinks_.size(), QueryRunStats{});
+        // A query's matches are the transitions it moved on: every entry
+        // of a product state counts once for each query in its moved mask.
+        for (size_t q = 0; q < mq_entries_.size(); ++q) {
+          const uint64_t entries = mq_entries_[q];
+          if (entries == 0) continue;
+          const uint64_t* moved = mq_->MaskAt(mq_->moved, static_cast<int>(q));
+          for (int w = 0; w < mq_->words; ++w) {
+            for (uint64_t bits = moved[w]; bits != 0; bits &= bits - 1) {
+              (*mq_qstats_)[static_cast<size_t>(w) * 64 +
+                            static_cast<size_t>(__builtin_ctzll(bits))]
+                  .matches += entries;
+            }
+          }
+        }
         for (size_t qy = 0; qy < mq_sinks_.size(); ++qy) {
-          (*mq_qstats_)[qy].matches = mq_matches_[qy];
           (*mq_qstats_)[qy].output_bytes = mq_sinks_[qy]->bytes_written();
         }
       }
@@ -250,11 +272,12 @@ class PrefilterSession::Impl {
     uint64_t copy_flushed;
     bool jump_pending;
     RunStats stats;
-    // Multi-query state; the vector assignments reuse capacity, so a safe
-    // point stays allocation-free after the first one.
+    // Multi-query copy state; the vector assignments reuse capacity, so a
+    // safe point stays allocation-free after the first one. Per-query
+    // matches need no snapshot: they derive from per-state entry counts,
+    // and no transition completes between a safe point and its rollback.
     std::vector<int> mq_copy_depth;
     std::vector<uint64_t> mq_copy_flushed;
-    std::vector<uint64_t> mq_matches;
   };
 
   /// True when running in push mode and more chunks may still arrive --
@@ -282,7 +305,6 @@ class PrefilterSession::Impl {
       if (mq_ != nullptr) {
         snap_.mq_copy_depth = mq_copy_depth_;
         snap_.mq_copy_flushed = mq_copy_flushed_;
-        snap_.mq_matches = mq_matches_;
       }
     }
   }
@@ -298,7 +320,6 @@ class PrefilterSession::Impl {
     if (mq_ != nullptr) {
       mq_copy_depth_ = snap_.mq_copy_depth;
       mq_copy_flushed_ = snap_.mq_copy_flushed;
-      mq_matches_ = snap_.mq_matches;
     }
   }
 
@@ -316,7 +337,6 @@ class PrefilterSession::Impl {
         if (!s.ok() && status_.ok()) status_ = s;
         mq_copy_flushed_[qy] = end;
       }
-      RecomputeMqCopyFlushed(end);
       return;
     }
     if (end <= copy_flushed_) return;
@@ -359,34 +379,20 @@ class PrefilterSession::Impl {
   }
 
   /// Flushes every actively-copying query up to `end` (suspension
-  /// hand-off), then re-establishes the aggregate invariant.
+  /// hand-off).
   Status FlushAllQueryCopies(uint64_t end) {
     for (size_t qy = 0; qy < mq_copy_depth_.size(); ++qy) {
       if (mq_copy_depth_[qy] == 0) continue;
       SMPX_RETURN_IF_ERROR(EmitCopiedRangeFor(qy, end));
     }
-    RecomputeMqCopyFlushed(end);
     return Status::Ok();
-  }
-
-  /// Aggregate invariant on multi-query sessions: copy_flushed_ is the
-  /// minimum flushed position over actively-copying queries (so
-  /// SessionCheckpoint::feed_begin and shard hand-off checks work
-  /// unchanged); `fallback` when no query is copying.
-  void RecomputeMqCopyFlushed(uint64_t fallback) {
-    uint64_t mn = std::numeric_limits<uint64_t>::max();
-    for (size_t qy = 0; qy < mq_copy_depth_.size(); ++qy) {
-      if (mq_copy_depth_[qy] > 0) mn = std::min(mn, mq_copy_flushed_[qy]);
-    }
-    copy_flushed_ = mn == std::numeric_limits<uint64_t>::max() ? fallback
-                                                               : mn;
   }
 
   Step Drive();
   bool SkipProlog();
   uint64_t SkipPast(uint64_t from, std::string_view term);
   uint64_t SkipDoctype(uint64_t from);
-  Status HandleMatch(uint64_t pos, int* next_unsearched);
+  Status HandleMatch(uint64_t pos, int pattern, int* result);
   Status FinishMatch(uint64_t pos, uint64_t tag_end, bool closing,
                      bool bachelor, bool counted_tag, int next_state,
                      int close_state);
@@ -394,20 +400,6 @@ class PrefilterSession::Impl {
                      bool closing, bool bachelor);
   Status ApplyMulti(int state, uint64_t tag_begin, uint64_t tag_end,
                     bool closing, bool bachelor, int suppress_open_state);
-
-  /// Attributes this accepted transition to every query that moved on the
-  /// entered product state's token (QueryRunStats::matches).
-  void BumpQueryMatches(int state) {
-    const uint64_t* moved = mq_->MaskAt(mq_->moved, state);
-    for (int w = 0; w < mq_->words; ++w) {
-      uint64_t bits = moved[w];
-      while (bits != 0) {
-        ++mq_matches_[static_cast<size_t>(w) * 64 +
-                      static_cast<size_t>(__builtin_ctzll(bits))];
-        bits &= bits - 1;
-      }
-    }
-  }
 
   /// Common tail of the false-match returns: a scan that ran into the end
   /// of a non-final chunk may just be truncated, so suspend instead of
@@ -441,16 +433,18 @@ class PrefilterSession::Impl {
   Status status_;
   std::vector<bool> visited_;
 
-  // Multi-query mode (mq_ non-null): per-query sinks, copy regions, and
-  // match counters. The aggregate copy_depth_ above counts the actively
-  // copying queries, so every copy_depth_ == 0 check (hand-off cleanliness,
-  // evict short-circuit) keeps its meaning.
+  // Multi-query mode (mq_ non-null): per-query sinks and copy regions, and
+  // per-product-state entry counts (FinalizeStats derives per-query
+  // matches from them). The aggregate copy_depth_ above counts the
+  // actively copying queries, so every copy_depth_ == 0 check (hand-off
+  // cleanliness, evict short-circuit) keeps its meaning; the aggregate
+  // copy_flushed is computed in checkpoint(), its only reader.
   const MultiQueryInfo* mq_ = nullptr;
   std::vector<OutputSink*> mq_sinks_;
   std::vector<QueryRunStats>* mq_qstats_ = nullptr;
   std::vector<int> mq_copy_depth_;
   std::vector<uint64_t> mq_copy_flushed_;
-  std::vector<uint64_t> mq_matches_;
+  std::vector<uint64_t> mq_entries_;
 
   void MarkVisited() {
     if (!visited_[static_cast<size_t>(q_)]) {
@@ -710,9 +704,7 @@ Status PrefilterSession::Impl::ApplyMulti(int state, uint64_t tag_begin,
       bits &= bits - 1;
       if (mq_copy_depth_[qy]++ == 0) {
         mq_copy_flushed_[qy] = tag_begin;
-        if (copy_depth_++ == 0 || tag_begin < copy_flushed_) {
-          copy_flushed_ = tag_begin;
-        }
+        ++copy_depth_;
       }
     }
   }
@@ -732,7 +724,6 @@ Status PrefilterSession::Impl::ApplyMulti(int state, uint64_t tag_begin,
       if (--mq_copy_depth_[qy] == 0) {
         SMPX_RETURN_IF_ERROR(EmitCopiedRangeFor(qy, tag_end + 1));
         --copy_depth_;
-        RecomputeMqCopyFlushed(tag_end + 1);
       }
     }
   }
@@ -762,7 +753,7 @@ Status PrefilterSession::Impl::FinishMatch(uint64_t pos, uint64_t tag_end,
   nesting_depth_ = 0;
   MarkVisited();
   if (mq_ != nullptr) {
-    BumpQueryMatches(q_);
+    ++mq_entries_[static_cast<size_t>(q_)];
     SMPX_RETURN_IF_ERROR(ApplyMulti(q_, pos, tag_end, closing, bachelor,
                                     /*suppress_open_state=*/-1));
     if (bachelor) {
@@ -804,10 +795,13 @@ Status PrefilterSession::Impl::FinishMatch(uint64_t pos, uint64_t tag_end,
   return Status::Ok();
 }
 
-/// Resolves a keyword candidate: the tag name/attribute scan runs pointer
-/// loops over whole resident spans (memchr for '>' and quote terminators),
-/// and the transition resolves via one hash + one flat array load.
-Status PrefilterSession::Impl::HandleMatch(uint64_t pos, int* result) {
+/// Resolves a candidate occurrence of keyword `pattern` at `pos`: when the
+/// tag name ends with the keyword, its id comes from the state's
+/// keyword_tag_ids; otherwise the name is scanned on and interned. The
+/// attribute scan runs pointer loops over whole resident spans (memchr for
+/// '>' and quote terminators), and the transition is one flat array load.
+Status PrefilterSession::Impl::HandleMatch(uint64_t pos, int pattern,
+                                           int* result) {
   *result = kFalseMatch;
   // Growing view anchored at pos. pos is at or above the lock, so bytes at
   // and after pos stay resident across refills; refills may slide or
@@ -822,30 +816,31 @@ Status PrefilterSession::Impl::HandleMatch(uint64_t pos, int* result) {
     return false;
   };
 
-  // Parse the tag at pos: "<name" or "</name".
-  size_t r = 1;
-  if (!extend(r)) return Reject(result);
-  bool closing = false;
-  if (span[r] == '/') {
-    closing = true;
-    ++r;
-  }
-  const size_t name_rel = r;
-  for (;;) {
-    while (r < span.size() && IsNameChar(span[r])) ++r;
-    if (r < span.size() || !extend(r)) break;
-  }
-  stats_->scan_chars += r;
-  if (r == name_rel) return Reject(result);  // "<!", "<?", "< " ...
-  const size_t name_len = r - name_rel;
-  std::string_view name = span.substr(name_rel, name_len);
-
   const DfaState& st = tables_.states[static_cast<size_t>(q_)];
 
-  // Resolve the interned id now: the id survives later refills, the view
-  // does not. Unknown tags (¶-check rejects, names outside the vocabulary)
-  // come back as -1.
-  const int32_t id = tables_.interner.Find(name);
+  // The matcher verified the keyword "<name" or "</name" at pos; its name
+  // consists of name chars only (DTD names do). The tag name is the
+  // keyword's own when the next byte ends it, here or at end of input.
+  const std::string& keyword = st.keywords[static_cast<size_t>(pattern)];
+  const bool closing = keyword[1] == '/';
+  const size_t name_rel = closing ? 2 : 1;
+  size_t r = keyword.size();
+  int32_t id;
+  if (!extend(r) || !IsNameChar(span[r])) {
+    id = st.keyword_tag_ids[static_cast<size_t>(pattern)];
+  } else {
+    // The name continues past the keyword (e.g. <item inside <itemref):
+    // scan it to its end and intern it. The id survives later refills, the
+    // view does not. Unknown tags (¶-check rejects, names outside the
+    // vocabulary) come back as -1.
+    for (;;) {
+      while (r < span.size() && IsNameChar(span[r])) ++r;
+      if (r < span.size() || !extend(r)) break;
+    }
+    id = tables_.interner.Find(span.substr(name_rel, r - name_rel));
+  }
+  stats_->scan_chars += r;
+  const size_t name_len = r - name_rel;
 
   // Recursion support: inside an opaque region, occurrences of the region's
   // own tag are balanced rather than transitioned on; only the closing tag
@@ -1009,7 +1004,7 @@ PrefilterSession::Impl::Step PrefilterSession::Impl::Drive() {
         if (m.found()) {
           uint64_t pos = cursor_ + m.pos;
           scan_hit_end_ = false;
-          Status s = HandleMatch(pos, &handled);
+          Status s = HandleMatch(pos, m.pattern, &handled);
           if (!s.ok()) {
             status_ = s;
             return Step::kError;
@@ -1116,6 +1111,19 @@ Status RunEngine(const RuntimeTables& tables, InputStream* in,
   }
   PrefilterSession::Impl engine(tables, in, out, stats, opts,
                                 /*start=*/nullptr);
+  return engine.Run();
+}
+
+Status RunEngine(const RuntimeTables& tables, InputStream* in,
+                 std::vector<OutputSink*> query_sinks,
+                 std::vector<QueryRunStats>* query_stats, RunStats* stats,
+                 const EngineOptions& opts) {
+  if (tables.states.empty()) {
+    return Status::InvalidArgument("empty runtime tables");
+  }
+  PrefilterSession::Impl engine(tables, in, /*out=*/nullptr, stats, opts,
+                                /*start=*/nullptr, /*multi_mode=*/true,
+                                std::move(query_sinks), query_stats);
   return engine.Run();
 }
 

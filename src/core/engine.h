@@ -5,10 +5,12 @@
 // jumps, and executes copy actions -- all through a fixed-size sliding
 // window over the input stream.
 //
-// A matched tag is resolved by scanning its name with pointer loops over
-// whole resident window spans (memchr for '>' and quote terminators),
-// interning it to a dense id (RuntimeTables::interner), and dispatching
-// through one flat array load.
+// A matched tag is resolved to a dense tag id by the index of the keyword
+// the matcher found (DfaState::keyword_tag_ids) when the name ends with
+// the keyword, and by interning the scanned name (RuntimeTables::interner)
+// only when it continues past it. Its attributes are scanned with pointer
+// loops over whole resident window spans (memchr for '>' and quote
+// terminators), and the transition is one flat array load.
 
 #ifndef SMPX_CORE_ENGINE_H_
 #define SMPX_CORE_ENGINE_H_
@@ -135,9 +137,10 @@ struct SessionCheckpoint {
 /// starting at any absolute byte offset in a known checkpoint -- and close
 /// the input with Finish(). The session suspends cleanly when a chunk ends
 /// mid-construct (nothing is consumed past the last completed transition)
-/// and picks up when the next chunk arrives. The serial RunEngine() below
-/// is a thin pull-mode wrapper over the same code path and stays
-/// byte-identical to the historical one-shot engine.
+/// and picks up when the next chunk arrives. The serial RunEngine()
+/// overloads below (one sink, or k sinks over product tables) are thin
+/// pull-mode wrappers over the same code path and stay byte-identical to
+/// it.
 ///
 /// A session is single-threaded; parallelism comes from running many
 /// sessions (one per shard or document) against the shared tables -- see
@@ -223,11 +226,25 @@ class PrefilterSession {
   friend Status RunEngine(const RuntimeTables& tables, InputStream* in,
                           OutputSink* out, RunStats* stats,
                           const EngineOptions& opts);
+  friend Status RunEngine(const RuntimeTables& tables, InputStream* in,
+                          std::vector<OutputSink*> query_sinks,
+                          std::vector<QueryRunStats>* query_stats,
+                          RunStats* stats, const EngineOptions& opts);
 };
 
 /// Executes one prefiltering run. `tables` must outlive the call.
 Status RunEngine(const RuntimeTables& tables, InputStream* in,
                  OutputSink* out, RunStats* stats,
+                 const EngineOptions& opts = {});
+
+/// Executes one multi-query run over product tables in pull mode, with the
+/// sink and stats contract of the k-sink PrefilterSession constructor: one
+/// sink per unique query in MultiQueryInfo order, per-query stats (may be
+/// null) filled at the end. Single-query tables or a sink count other than
+/// the query count fail with InvalidArgument.
+Status RunEngine(const RuntimeTables& tables, InputStream* in,
+                 std::vector<OutputSink*> query_sinks,
+                 std::vector<QueryRunStats>* query_stats, RunStats* stats,
                  const EngineOptions& opts = {});
 
 }  // namespace smpx::core

@@ -231,6 +231,48 @@ Status BuildStateMatcher(DfaState* state, const TableOptions& opts) {
   return Status::Ok();
 }
 
+void InternTransitions(const std::vector<TransitionMap>& open,
+                       const std::vector<TransitionMap>& close,
+                       RuntimeTables* tables) {
+  // Collapse every transition tag name into a dense id and ship flat
+  // arrays (-1 = no transition), so the engine resolves a matched tag with
+  // one array load. The tree maps stay build-local.
+  std::vector<std::string> names;
+  for (size_t q = 0; q < tables->states.size(); ++q) {
+    for (const auto& [name, to] : open[q]) {
+      names.push_back(name);
+      (void)to;
+    }
+    for (const auto& [name, to] : close[q]) {
+      names.push_back(name);
+      (void)to;
+    }
+  }
+  tables->interner = TagInterner(names);
+  const TagInterner& interner = tables->interner;
+  const size_t vocab = static_cast<size_t>(interner.size());
+  for (size_t q = 0; q < tables->states.size(); ++q) {
+    DfaState& state = tables->states[q];
+    state.open_next_id.assign(vocab, -1);
+    state.close_next_id.assign(vocab, -1);
+    for (const auto& [name, to] : open[q]) {
+      state.open_next_id[static_cast<size_t>(interner.Find(name))] = to;
+    }
+    for (const auto& [name, to] : close[q]) {
+      state.close_next_id[static_cast<size_t>(interner.Find(name))] = to;
+    }
+    if (!state.entry_name.empty()) {
+      state.entry_tag_id = interner.Find(state.entry_name);
+    }
+    state.keyword_tag_ids.clear();
+    for (const std::string& kw : state.keywords) {
+      const bool closing = kw.size() > 1 && kw[1] == '/';
+      state.keyword_tag_ids.push_back(
+          interner.Find(std::string_view(kw).substr(closing ? 2 : 1)));
+    }
+  }
+}
+
 Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
                                   const Selection& sel,
                                   const SubgraphAutomaton& sub,
@@ -263,7 +305,6 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
 
   // Per-state transition maps. These are build-time scaffolding: the
   // tables ship only the flat id-indexed arrays built from them below.
-  using TransitionMap = std::map<std::string, int, std::less<>>;
   std::vector<TransitionMap> open_maps;
   std::vector<TransitionMap> close_maps;
 
@@ -374,38 +415,7 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
     state.vocab_tokens.assign(vocab_tokens.begin(), vocab_tokens.end());
   }
 
-  // Collapse every transition tag name into a dense id and ship flat
-  // arrays (-1 = no transition), so the engine resolves a matched tag with
-  // one hash + one array load. The tree maps stay build-local.
-  std::vector<std::string> names;
-  for (size_t q = 0; q < subsets.size(); ++q) {
-    for (const auto& [name, to] : open_maps[q]) {
-      names.push_back(name);
-      (void)to;
-    }
-    for (const auto& [name, to] : close_maps[q]) {
-      names.push_back(name);
-      (void)to;
-    }
-  }
-  tables.interner = TagInterner(names);
-  const size_t vocab = static_cast<size_t>(tables.interner.size());
-  for (size_t q = 0; q < subsets.size(); ++q) {
-    DfaState& state = tables.states[q];
-    state.open_next_id.assign(vocab, -1);
-    state.close_next_id.assign(vocab, -1);
-    for (const auto& [name, to] : open_maps[q]) {
-      state.open_next_id[static_cast<size_t>(
-          tables.interner.Find(name))] = to;
-    }
-    for (const auto& [name, to] : close_maps[q]) {
-      state.close_next_id[static_cast<size_t>(
-          tables.interner.Find(name))] = to;
-    }
-    if (!state.entry_name.empty()) {
-      state.entry_tag_id = tables.interner.Find(state.entry_name);
-    }
-  }
+  InternTransitions(open_maps, close_maps, &tables);
   BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
   tables.boundary_states = std::move(ba.states);
   tables.boundary_copy_depths = std::move(ba.copy_depths);

@@ -10,6 +10,8 @@
 #define SMPX_CORE_TABLES_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -29,8 +31,10 @@ namespace smpx::core {
 
 /// Maps the tag names of the runtime vocabulary to dense ids via a flat
 /// open-addressing hash over string_view (no allocation, no tree walk on
-/// lookup). Built once in BuildTables; the engine resolves every matched
-/// tag name with one hash and at most a few contiguous probes.
+/// lookup). Built once per table build (InternTransitions); the engine
+/// resolves a matched tag name that continues past its keyword with one
+/// hash and at most a few contiguous probes (DfaState::keyword_tag_ids
+/// covers every other match).
 class TagInterner {
  public:
   TagInterner() = default;
@@ -82,6 +86,12 @@ struct DfaState {
   /// and 0.63x geomean throughput on the XMark sweep, so both structures
   /// stay.
   std::vector<std::string> keywords;
+  /// Interned tag id of keyword i's name (RuntimeTables::interner, -1 when
+  /// not interned). A match of keyword i that the next byte ends (not a
+  /// name char) names exactly this tag, so the engine resolves it without
+  /// hashing; only names that continue past the keyword (<item inside
+  /// <itemref) go through the interner.
+  std::vector<int32_t> keyword_tag_ids;
   /// Compiled search structure over `keywords` (null iff keywords empty).
   std::unique_ptr<strmatch::Matcher> matcher;
   /// A[q, <name>] / A[q, </name>]: indexed by the tag id from
@@ -238,6 +248,17 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
 /// the candidate skip loops off under opts.disable_matcher_skip_loops.
 /// Shared by the single-query and multi-query table builders.
 Status BuildStateMatcher(DfaState* state, const TableOptions& opts);
+
+/// Build-time transition map of one state: tag name -> successor state.
+using TransitionMap = std::map<std::string, int, std::less<>>;
+
+/// Interns every transition name of `open` / `close` (one map per state,
+/// parallel to tables->states) into tables->interner, then fills each
+/// state's flat id-indexed transition arrays, entry_tag_id and
+/// keyword_tag_ids. Shared by the single-query and multi-query builders.
+void InternTransitions(const std::vector<TransitionMap>& open,
+                       const std::vector<TransitionMap>& close,
+                       RuntimeTables* tables);
 
 /// J-computation for one runtime state: the minimum, over all DTD-valid
 /// documents and all member NFA states, of the characters between the

@@ -270,8 +270,8 @@ struct BuildState {
   /// explores token interleavings no valid document produces, and without
   /// the tracker the state count is exponential in the mix size.
   std::vector<int> positions;
-  std::map<std::string, int, std::less<>> open_to;
-  std::map<std::string, int, std::less<>> close_to;
+  core::TransitionMap open_to;
+  core::TransitionMap close_to;
   int32_t bachelor_close = -1;
 };
 
@@ -698,33 +698,13 @@ Result<MultiQuery> MultiQuery::Compile(
   }
 
   // Flat id-indexed transitions over the product transition names.
-  std::vector<std::string> names;
-  for (const BuildState& bs : product) {
-    for (const auto& [name, to] : bs.open_to) {
-      names.push_back(name);
-      (void)to;
-    }
-    for (const auto& [name, to] : bs.close_to) {
-      names.push_back(name);
-      (void)to;
-    }
-  }
-  tables.interner = core::TagInterner(names);
-  const size_t vocab_size = static_cast<size_t>(tables.interner.size());
+  std::vector<core::TransitionMap> open_to(product.size());
+  std::vector<core::TransitionMap> close_to(product.size());
   for (size_t q = 0; q < product.size(); ++q) {
-    DfaState& st = tables.states[q];
-    st.open_next_id.assign(vocab_size, -1);
-    st.close_next_id.assign(vocab_size, -1);
-    for (const auto& [name, to] : product[q].open_to) {
-      st.open_next_id[static_cast<size_t>(tables.interner.Find(name))] = to;
-    }
-    for (const auto& [name, to] : product[q].close_to) {
-      st.close_next_id[static_cast<size_t>(tables.interner.Find(name))] = to;
-    }
-    if (!st.entry_name.empty()) {
-      st.entry_tag_id = tables.interner.Find(st.entry_name);
-    }
+    open_to[q] = std::move(product[q].open_to);
+    close_to[q] = std::move(product[q].close_to);
   }
+  core::InternTransitions(open_to, close_to, &tables);
   core::BoundaryAnalysis ba = core::ComputeBoundaryStates(aut, tables);
   tables.boundary_states = std::move(ba.states);
   tables.boundary_copy_depths = std::move(ba.copy_depths);
@@ -792,37 +772,26 @@ Status MultiQuery::RunOnBuffer(std::string_view document,
                                core::RunStats* stats,
                                const core::EngineOptions& opts) const {
   MemoryInputStream in(document);
-  return Run(&in, sinks, query_stats, stats, opts, document.size() + 1);
+  return Run(&in, sinks, query_stats, stats, opts);
 }
 
 Status MultiQuery::Run(InputStream* in, const std::vector<OutputSink*>& sinks,
                        std::vector<core::QueryRunStats>* query_stats,
-                       core::RunStats* stats, const core::EngineOptions& opts,
-                       size_t chunk_bytes) const {
+                       core::RunStats* stats,
+                       const core::EngineOptions& opts) const {
   if (static_cast<int>(sinks.size()) != num_queries()) {
     return Status::InvalidArgument(
         "multi-query run needs one sink per original query (" +
         std::to_string(num_queries()) + "), got " +
         std::to_string(sinks.size()));
   }
-  if (chunk_bytes == 0) chunk_bytes = 1;
   std::vector<std::unique_ptr<FanoutSink>> owned;
   std::vector<OutputSink*> unique_sinks;
   RouteSinks(sinks, &owned, &unique_sinks);
 
   std::vector<core::QueryRunStats> unique_stats;
-  core::PrefilterSession session(*tables_, std::move(unique_sinks),
-                                 &unique_stats, stats, opts);
-  std::string buf(chunk_bytes, '\0');
-  for (;;) {
-    SMPX_ASSIGN_OR_RETURN(size_t n, in->Read(buf.data(), buf.size()));
-    if (n == 0) break;
-    SMPX_RETURN_IF_ERROR(session.Resume(std::string_view(buf.data(), n)));
-    // A finished session ignores trailing bytes, exactly like a serial
-    // single-query run; draining the stream is pointless.
-    if (session.finished()) break;
-  }
-  SMPX_RETURN_IF_ERROR(session.Finish());
+  SMPX_RETURN_IF_ERROR(core::RunEngine(*tables_, in, std::move(unique_sinks),
+                                       &unique_stats, stats, opts));
   if (query_stats != nullptr) ExpandStats(unique_stats, query_stats);
   return Status::Ok();
 }

@@ -7,12 +7,12 @@
 // output stays byte-identical to an independent single-query serial run --
 // duplicates are routed through FanoutSink, never re-executed.
 //
-// Execution drivers: serial one-pass (RunOnBuffer), chunked streaming
-// (Run), and the k-sink parallel drivers over the product tables --
-// sharded single-document (parallel::ShardedRun) and streaming batches
-// (parallel::StreamRun / BatchRunStreaming), fed one sink per unique query
-// through RouteSinks. A fused superset projection (one output safe for
-// every query) is available through CompileFused.
+// Execution drivers: serial one-pass in pull mode (RunOnBuffer over a
+// buffer, Run over a stream), and the k-sink parallel drivers over the
+// product tables -- sharded single-document (parallel::ShardedRun) and
+// streaming batches (parallel::StreamRun / BatchRunStreaming), fed one
+// sink per unique query through RouteSinks. A fused superset projection
+// (one output safe for every query) is available through CompileFused.
 
 #ifndef SMPX_QUERY_MULTIQUERY_H_
 #define SMPX_QUERY_MULTIQUERY_H_
@@ -75,23 +75,24 @@ class MultiQuery {
   }
   const dtd::Dtd& dtd() const { return *dtd_; }
 
-  /// One serial pass over an in-memory document. `sinks` has one sink per
-  /// ORIGINAL query; duplicates of a unique query each receive their own
-  /// copy of its bytes. `query_stats` (may be null) gets one entry per
-  /// original query.
+  /// One serial pull-mode pass over an in-memory document. `sinks` has one
+  /// sink per ORIGINAL query; duplicates of a unique query each receive
+  /// their own copy of its bytes. `query_stats` (may be null) gets one
+  /// entry per original query.
   Status RunOnBuffer(std::string_view document,
                      const std::vector<OutputSink*>& sinks,
                      std::vector<core::QueryRunStats>* query_stats = nullptr,
                      core::RunStats* stats = nullptr,
                      const core::EngineOptions& opts = {}) const;
 
-  /// Chunked push-mode pass over a stream (bounded memory); same sink and
-  /// stats contract as RunOnBuffer.
+  /// The same serial pass pulling from a stream through the engine's
+  /// sliding window (bounded memory); same sink and stats contract as
+  /// RunOnBuffer. Chunked push-mode feeding is the k-sink
+  /// core::PrefilterSession's, which the parallel drivers use.
   Status Run(InputStream* in, const std::vector<OutputSink*>& sinks,
              std::vector<core::QueryRunStats>* query_stats = nullptr,
              core::RunStats* stats = nullptr,
-             const core::EngineOptions& opts = {},
-             size_t chunk_bytes = 1 << 20) const;
+             const core::EngineOptions& opts = {}) const;
 
   /// Fused superset projection: one ordinary single-query prefilter over
   /// the union of every original query's paths. Its single output is

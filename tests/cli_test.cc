@@ -297,6 +297,60 @@ TEST(CliStatsTest, TimeIsAtMostTheWallTimeAroundTheExec) {
   }
 }
 
+/// The --stats line of `err` that starts with `prefix` ("" for the first).
+std::string StatsLine(const std::string& err, const std::string& prefix) {
+  for (size_t b = 0; b < err.size();) {
+    size_t e = err.find('\n', b);
+    if (e == std::string::npos) e = err.size();
+    if (err.compare(b, prefix.size(), prefix) == 0) {
+      return err.substr(b, e - b);
+    }
+    b = e + 1;
+  }
+  return std::string();
+}
+
+TEST(CliStatsTest, SingleQueryFileReportsTheSameCountersAsPaths) {
+  // An N=1 --query-file run is the --paths run through product tables: the
+  // multi: line carries the same RunStats fields and agrees on the
+  // projection's matches and output bytes.
+  std::string big = "<a>";
+  for (int i = 0; i < 2000; ++i) big += "<b>payload</b><c>drop</c>";
+  big += "</a>";
+  Fixture fx({big});
+  const std::string dir = ::testing::TempDir();
+  const std::string out = dir + "/smpx_cli_n1.xml";
+  const std::string queries = dir + "/smpx_cli_n1.queries";
+  ASSERT_TRUE(WriteStringToFile(queries, std::string(kPaths) + "\n").ok());
+  CliResult single = RunCli("--dtd \"" + fx.dtd_path + "\" --stats --paths \"" +
+                            kPaths + "\"" + fx.InputArgs() + " \"" + out +
+                            "\"");
+  ASSERT_EQ(single.exit_code, 0) << single.err;
+  CliResult multi = RunCli("--dtd \"" + fx.dtd_path +
+                           "\" --stats --query-file \"" + queries + "\"" +
+                           fx.InputArgs() + " \"" + out + "\"");
+  ASSERT_EQ(multi.exit_code, 0) << multi.err;
+  const std::string paths_line = StatsLine(single.err, "states=");
+  const std::string multi_line = StatsLine(multi.err, "multi:");
+  ASSERT_FALSE(paths_line.empty()) << single.err;
+  ASSERT_FALSE(multi_line.empty()) << multi.err;
+  for (const char* field : {"charcomp", "avg_shift", "initial_jumps",
+                            "matches", "false_matches", "window_peak"}) {
+    SCOPED_TRACE(field);
+    EXPECT_GE(StatsSeconds(multi_line, field), 0) << multi_line;
+  }
+  for (const char* field : {"matches", "output"}) {
+    SCOPED_TRACE(field);
+    EXPECT_EQ(StatsSeconds(multi_line, field),
+              StatsSeconds(paths_line, field));
+  }
+  EXPECT_EQ(StatsSeconds(paths_line, "output"),
+            static_cast<double>(SerialExpected(big).size()));
+  for (const char* suffix : {".xml", ".q1.xml", ".queries"}) {
+    std::remove((dir + "/smpx_cli_n1" + suffix).c_str());
+  }
+}
+
 TEST(CliIndexTest, IndexBuildThenSeekServesByteIdenticalSlices) {
   // A document large enough for several granularity-64 boundaries.
   std::string big = "<a>";

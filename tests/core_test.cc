@@ -408,7 +408,8 @@ TEST(TagInternerTest, SurvivesRehashGrowth) {
 
 TEST_F(Fig3Tables, FlatTransitionsMatchTheVocabulary) {
   // Every frontier keyword "<t" / "</t" has exactly one flat transition,
-  // and the entry ids point back at the entry names.
+  // the entry ids point back at the entry names, and keyword i's tag id
+  // is the interned id of its name.
   const RuntimeTables& t = pf_->tables();
   EXPECT_GT(t.interner.size(), 0);
   for (size_t q = 0; q < t.states.size(); ++q) {
@@ -420,13 +421,14 @@ TEST_F(Fig3Tables, FlatTransitionsMatchTheVocabulary) {
     for (int32_t v : s.open_next_id) flat += v >= 0 ? 1 : 0;
     for (int32_t v : s.close_next_id) flat += v >= 0 ? 1 : 0;
     EXPECT_EQ(flat, s.keywords.size());
-    for (const std::string& kw : s.keywords) {
+    ASSERT_EQ(s.keyword_tag_ids.size(), s.keywords.size());
+    for (size_t i = 0; i < s.keywords.size(); ++i) {
+      const std::string& kw = s.keywords[i];
       const bool closing = kw[1] == '/';
-      EXPECT_GE(t.NextState(static_cast<int>(q),
-                            std::string_view(kw).substr(closing ? 2 : 1),
-                            closing),
-                0)
-          << kw;
+      const std::string_view name =
+          std::string_view(kw).substr(closing ? 2 : 1);
+      EXPECT_GE(t.NextState(static_cast<int>(q), name, closing), 0) << kw;
+      EXPECT_EQ(s.keyword_tag_ids[i], t.interner.Find(name)) << kw;
     }
   }
 }

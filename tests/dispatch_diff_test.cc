@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/sax_projector.h"
+#include "core/engine.h"
 #include "core/prefilter.h"
 #include "simd/simd.h"
 #include "xml/tokenizer.h"
@@ -241,6 +242,159 @@ TEST(DispatchDiffTest, CountNestingRecursionUnderSpanScanner) {
                                /*allow_recursion=*/true);
     EXPECT_EQ(RunChecked(pf, kRecursiveDoc, 64), c.expected);
   }
+}
+
+// --- Keyword-indexed tag resolution -----------------------------------------
+// A matched keyword names the tag by its index unless the next byte
+// continues the name; these documents put that byte test on every edge:
+// prefixes of longer vocabulary and out-of-vocabulary names, names ending
+// at end of input and at push-mode chunk ends, bachelor, attribute and
+// whitespace terminators, and the balance of an opaque region.
+
+/// RunChecked, plus the push-mode session over the same tables fed in
+/// chunks as small as one byte (every keyword then ends at a chunk end):
+/// same bytes, same semantic counters.
+std::string RunCheckedPushed(const Prefilter& pf, std::string_view doc) {
+  const std::string out = RunChecked(pf, doc, 64);
+  RunStats ref;
+  EXPECT_TRUE(pf.RunOnBuffer(doc, &ref).ok());
+  for (size_t chunk : {1u, 2u, 3u, 5u}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    StringSink sink;
+    RunStats stats;
+    PrefilterSession session(pf.tables(), &sink, &stats);
+    Status s;
+    for (size_t off = 0; off < doc.size() && s.ok(); off += chunk) {
+      s = session.Resume(doc.substr(off, chunk));
+    }
+    if (s.ok()) s = session.Finish();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(sink.str(), out);
+    ExpectSameSemanticCounters(stats, ref);
+    EXPECT_EQ(stats.scan_chars, ref.scan_chars);
+  }
+  return out;
+}
+
+TEST(DispatchDiffTest, KeywordThatPrefixesALongerVocabularyTag) {
+  // "<item" is found inside every "<itemref" (and "<person" inside
+  // "<personref"): the shorter keyword ends first, and the byte after it
+  // must send the name on to the interner.
+  const char dtd[] =
+      "<!DOCTYPE a [ <!ELEMENT a (item|itemref|person|personref)*>"
+      " <!ELEMENT item (#PCDATA)> <!ELEMENT itemref (#PCDATA)>"
+      " <!ELEMENT person (#PCDATA)> <!ELEMENT personref (#PCDATA)> ]>";
+  const std::string doc =
+      "<a><itemref>r1</itemref><item>i1</item><personref>p1</personref>"
+      "<person>p2</person><itemref/><item/><personref>p3</personref></a>";
+  for (const char* paths :
+       {"/a/item#", "/a/itemref#", "/a/item# /a/itemref", "/a/person#",
+        "/a/personref# /a/item", "/a/item# /a/itemref# /a/person#"}) {
+    SCOPED_TRACE(paths);
+    Prefilter pf = MustCompile(*dtd::Dtd::Parse(dtd), paths);
+    EXPECT_EQ(RunCheckedPushed(pf, doc), SaxProject(paths, doc));
+  }
+
+  // The same collisions in generator output: XMark has item/itemref and
+  // person/personref.
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 256 << 10;
+  const std::string xmark = xmlgen::GenerateXmark(gen);
+  for (const char* paths :
+       {"/site/regions//item@ //itemref@",
+        "/site/people/person@ //personref@ /site/people/person/name#"}) {
+    SCOPED_TRACE(paths);
+    Prefilter pf = MustCompile(xmlgen::XmarkDtd(), paths);
+    EXPECT_EQ(RunChecked(pf, xmark), SaxProject(paths, xmark));
+  }
+}
+
+TEST(DispatchDiffTest, KeywordThatPrefixesAnOutOfVocabularyName) {
+  // Only "<b" is a keyword; "<bc" and "<b-x" are not in the vocabulary of
+  // the state that finds them and must be rejected as false matches.
+  const char dtd[] =
+      "<!DOCTYPE a [ <!ELEMENT a (b|bc|b-x)*> <!ELEMENT b (#PCDATA)>"
+      " <!ELEMENT bc (#PCDATA)> <!ELEMENT b-x (#PCDATA)> ]>";
+  const std::string doc =
+      "<a><bc>no</bc><b>yes</b><b-x>no</b-x><bc/><b>again</b></a>";
+  Prefilter pf = MustCompile(*dtd::Dtd::Parse(dtd), "/a/b#");
+  RunStats stats;
+  ASSERT_TRUE(pf.RunOnBuffer(doc, &stats).ok());
+  EXPECT_GT(stats.false_matches, 0u);
+  EXPECT_EQ(RunCheckedPushed(pf, doc), SaxProject("/a/b#", doc));
+  EXPECT_EQ(RunCheckedPushed(pf, doc), "<a><b>yes</b><b>again</b></a>");
+}
+
+TEST(DispatchDiffTest, KeywordEndingAtEndOfInput) {
+  // Nothing follows the keyword: a truncated tag, which fails with
+  // ParseError in pull mode and at Finish in push mode.
+  Prefilter pf = MustCompile(*dtd::Dtd::Parse(kBachelorDtd), "/a/b#");
+  for (const char* doc : {"<a><b>x</b></a", "<a><b", "<a><c><b", "<a"}) {
+    SCOPED_TRACE(doc);
+    auto out = pf.RunOnBuffer(doc);
+    EXPECT_EQ(out.status().code(), StatusCode::kParseError);
+    StringSink sink;
+    PrefilterSession session(pf.tables(), &sink, nullptr);
+    ASSERT_TRUE(session.Resume(doc).ok());
+    EXPECT_EQ(session.Finish().code(), StatusCode::kParseError);
+  }
+  // The complete document, ending right after the root's closing tag.
+  EXPECT_EQ(RunCheckedPushed(pf, "<a><b>x</b></a>"), "<a><b>x</b></a>");
+}
+
+TEST(DispatchDiffTest, KeywordFollowedByEveryTagTerminator) {
+  // '>', '/', attribute whitespace, tab and newline all end the name.
+  const char dtd[] =
+      "<!DOCTYPE a [ <!ELEMENT a (t|tt)*> <!ELEMENT t (#PCDATA)>"
+      " <!ELEMENT tt (#PCDATA)> <!ATTLIST t a CDATA #IMPLIED> ]>";
+  for (const char* paths : {"/a/t#", "/a/t@", "/a/tt#"}) {
+    SCOPED_TRACE(paths);
+    Prefilter pf = MustCompile(*dtd::Dtd::Parse(dtd), paths);
+    for (const char* doc : {
+             "<a><t/><tt>x</tt></a>",
+             "<a><t a='>'>v</t><tt/></a>",
+             "<a><t>v</t ><tt>w</tt ></a>",
+             "<a><t\ta='1'>v</t\t><t\n>w</t\n><tt\n/></a>",
+             "<a\n><t\n/><t\ta=\"/>\"\n/></a\t>",
+         }) {
+      SCOPED_TRACE(doc);
+      EXPECT_EQ(RunCheckedPushed(pf, doc), SaxProject(paths, doc));
+    }
+  }
+}
+
+TEST(DispatchDiffTest, KeywordPrefixInsideACountNestingRegion) {
+  // kRecursiveDtd with listitem renamed parlistitem: inside the opaque
+  // parlist region the engine balances "<parlist" against "</parlist",
+  // and "<parlistitem" / "</parlistitem" contain those keywords but are
+  // neither nesting steps nor matches. Opening and closing such tags would
+  // keep the balance even if they were miscounted, so the match count is
+  // checked against the original names, which contain no keyword.
+  std::string dtd = kRecursiveDtd;
+  std::string doc = kRecursiveDoc;
+  for (std::string* text : {&dtd, &doc}) {
+    for (size_t p = text->find("listitem"); p != std::string::npos;
+         p = text->find("listitem", p + 11)) {
+      text->replace(p, 8, "parlistitem");
+    }
+  }
+  Prefilter pf = MustCompile(*dtd::Dtd::Parse(dtd), "//parlist#",
+                             /*allow_recursion=*/true);
+  bool counting = false;
+  for (const DfaState& st : pf.tables().states) counting |= st.count_nesting;
+  ASSERT_TRUE(counting);
+  EXPECT_EQ(RunCheckedPushed(pf, doc),
+            "<site><parlist><parlistitem><text>a1</text></parlistitem>"
+            "<parlistitem><parlist><parlistitem><text>deep</text>"
+            "</parlistitem></parlist></parlistitem></parlist></site>");
+
+  Prefilter plain = MustCompile(*dtd::Dtd::Parse(kRecursiveDtd), "//parlist#",
+                                /*allow_recursion=*/true);
+  RunStats colliding, reference;
+  ASSERT_TRUE(pf.RunOnBuffer(doc, &colliding).ok());
+  ASSERT_TRUE(plain.RunOnBuffer(kRecursiveDoc, &reference).ok());
+  EXPECT_EQ(colliding.matches, reference.matches);
+  EXPECT_GT(colliding.false_matches, reference.false_matches);
 }
 
 // --- SIMD tier replay --------------------------------------------------------

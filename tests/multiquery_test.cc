@@ -1,10 +1,11 @@
 // Differential suite for the multi-query projection engine (src/query):
 // N queries compiled into one shared product DFA must emit, for EVERY
-// original query and under EVERY driver (serial one-pass, chunked
-// streaming, speculative sharding at 1/2/4/7 threads, streaming batch),
-// output byte-identical to that query's independent single-query serial
-// run -- the paper's per-query projection semantics are the oracle, the
-// product automaton is the implementation under test. Also covered:
+// original query and under EVERY driver (serial one-pass, the push-mode
+// session fed in 1/7/333/1M-byte chunks, speculative sharding at 1/2/4/7
+// threads, streaming batch), output byte-identical to that query's
+// independent single-query serial run -- the paper's per-query projection
+// semantics are the oracle, the product automaton is the implementation
+// under test. Also covered:
 // equivalence collapse (duplicates, order-permuted path lists, semantic
 // subsumption), the N=1 degenerate case against the single-query engine,
 // N=65 mask-word spill (two uint64_t words per state), fused-superset
@@ -105,30 +106,63 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     }
   };
 
-  // Serial one-pass.
+  // Serial one-pass (pull mode): the reference for the push-mode runs.
+  std::vector<core::QueryRunStats> serial_qstats;
+  core::RunStats serial_stats;
   {
     std::vector<StringSink> sinks(static_cast<size_t>(nq));
     std::vector<OutputSink*> ptrs;
     for (auto& s : sinks) ptrs.push_back(&s);
-    std::vector<core::QueryRunStats> qstats;
-    core::RunStats stats;
-    Status s = mq.RunOnBuffer(doc, ptrs, &qstats, &stats);
+    Status s = mq.RunOnBuffer(doc, ptrs, &serial_qstats, &serial_stats);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    check(sinks, qstats, "serial");
-    EXPECT_EQ(stats.input_bytes, doc.size());
+    check(sinks, serial_qstats, "serial");
+    EXPECT_EQ(serial_stats.input_bytes, doc.size());
   }
 
-  // Chunked streaming at several granularities.
-  for (size_t chunk : {7u, 333u, 1u << 20}) {
+  // Push mode over the product tables: the k-sink session fed in chunks,
+  // down to one byte (every keyword and tag then ends at a chunk end, so
+  // each candidate scan suspends and rolls back to its safe point). Same
+  // bytes, per-query stats and counters as the pull-mode run, except the
+  // search-effort ones: each chunk end re-searches its overlap tail.
+  for (size_t chunk : {1u, 7u, 333u, 1u << 20}) {
     SCOPED_TRACE(chunk);
     std::vector<StringSink> sinks(static_cast<size_t>(nq));
     std::vector<OutputSink*> ptrs;
     for (auto& s : sinks) ptrs.push_back(&s);
-    std::vector<core::QueryRunStats> qstats;
-    MemoryInputStream in(doc);
-    Status s = mq.Run(&in, ptrs, &qstats, nullptr, {}, chunk);
+    std::vector<std::unique_ptr<FanoutSink>> owned;
+    std::vector<OutputSink*> unique_sinks;
+    mq.RouteSinks(ptrs, &owned, &unique_sinks);
+    std::vector<core::QueryRunStats> uq_stats;
+    core::RunStats stats;
+    core::PrefilterSession session(mq.tables(), unique_sinks, &uq_stats,
+                                   &stats);
+    for (size_t off = 0; off < doc.size(); off += chunk) {
+      Status s = session.Resume(doc.substr(off, chunk));
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    Status s = session.Finish();
     ASSERT_TRUE(s.ok()) << s.ToString();
+    std::vector<core::QueryRunStats> qstats;
+    mq.ExpandStats(uq_stats, &qstats);
     check(sinks, qstats, "chunked");
+    for (int j = 0; j < nq; ++j) {
+      SCOPED_TRACE(j);
+      EXPECT_EQ(qstats[static_cast<size_t>(j)].matches,
+                serial_qstats[static_cast<size_t>(j)].matches);
+      EXPECT_EQ(qstats[static_cast<size_t>(j)].output_bytes,
+                serial_qstats[static_cast<size_t>(j)].output_bytes);
+    }
+    // A finished session ignores the chunks after the root's closing tag,
+    // which the pull-mode window has already read.
+    EXPECT_LE(stats.input_bytes, serial_stats.input_bytes);
+    EXPECT_GE(stats.input_bytes, doc.rfind('>') + 1);
+    EXPECT_EQ(stats.output_bytes, serial_stats.output_bytes);
+    EXPECT_EQ(stats.matches, serial_stats.matches);
+    EXPECT_EQ(stats.false_matches, serial_stats.false_matches);
+    EXPECT_EQ(stats.scan_chars, serial_stats.scan_chars);
+    EXPECT_EQ(stats.initial_jumps, serial_stats.initial_jumps);
+    EXPECT_EQ(stats.initial_jump_chars, serial_stats.initial_jump_chars);
+    EXPECT_EQ(stats.states_visited, serial_stats.states_visited);
   }
 
   // Speculative sharding across thread counts, with a small output budget

@@ -102,8 +102,10 @@ int Usage(const char* argv0) {
       "                  (in.xml -> in.proj.xml). With --out FILE, outputs\n"
       "                  are instead concatenated into FILE in argument\n"
       "                  order through the ordered-commit pipeline\n"
-      "  --chunk S       streaming read granularity in batch mode\n"
-      "                  (default 1M): bytes fed to a session per resume\n"
+      "  --chunk S       streaming read granularity of --batch (default\n"
+      "                  1M): bytes fed to a session per resume. Other\n"
+      "                  runs, single- or multi-query, ignore it: they\n"
+      "                  read the input through the sliding window\n"
       "  --max-buffer S  per-segment output buffering budget (default\n"
       "                  64M, 0 = unbounded): each shard / batch document\n"
       "                  buffers at most S projected bytes in memory and\n"
@@ -684,7 +686,7 @@ int main(int argc, char** argv) {
         if (s.ok()) mq->ExpandStats(uq_stats, &qstats);
       } else {
         smpx::MemoryInputStream in(mq_docs[0]);
-        s = mq->Run(&in, originals, &qstats, &stats, eopts, chunk);
+        s = mq->Run(&in, originals, &qstats, &stats, eopts);
       }
       for (auto& f : files) {
         if (s.ok()) s = f->Flush();
@@ -707,12 +709,17 @@ int main(int argc, char** argv) {
       std::fprintf(
           stderr,
           "multi: queries=%d unique=%d states=%zu input=%llu output=%llu "
-          "time=%.3fs compile=%.3fs usr+sys=%.3fs matches=%llu\n",
+          "time=%.3fs compile=%.3fs usr+sys=%.3fs charcomp=%.2f%% "
+          "avg_shift=%.2f initial_jumps=%.2f%% matches=%llu "
+          "false_matches=%llu window_peak=%zu\n",
           nq, mq->num_unique(), mq->tables().states.size(),
           static_cast<unsigned long long>(stats.input_bytes),
           static_cast<unsigned long long>(stats.output_bytes),
           mq_compile_timer.Seconds(), mq_compile_s, cpu_timer.Seconds(),
-          static_cast<unsigned long long>(stats.matches));
+          stats.CharCompPct(), stats.AvgShift(), stats.InitialJumpPct(),
+          static_cast<unsigned long long>(stats.matches),
+          static_cast<unsigned long long>(stats.false_matches),
+          stats.window_peak);
     }
     return failures == 0 ? 0 : 1;
   }
