@@ -13,6 +13,7 @@
 // then justify the diff in review like any other golden-file change.
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "parallel/shard.h"
 #include "parallel/thread_pool.h"
 #include "query/multiquery.h"
+#include "xmlgen/xmark.h"
 
 namespace smpx {
 namespace {
@@ -193,6 +195,107 @@ TEST(GoldenCorpusTest, MultiQueryMixMatchesCheckedInProjections) {
           << (q + 1) << " diverged";
     }
   }
+}
+
+// The counter golden: the deterministic work counters of the XMark query
+// workload (XM1-XM14, XM17-XM20 as single-query runs, and the same 18
+// queries as one multi-query product run) on one fixed-seed generated
+// document, pinned in tests/data/xmark_counters.golden. Unlike wall time,
+// these counters are exact on every host and kernel tier, so any change in
+// the work the prefilter does -- a matcher probe, a scan, a jump, a window
+// refill -- shows up here as an exact diff. An intended change regenerates
+// the file: on mismatch the test prints the complete actual table, which
+// replaces the file verbatim.
+struct CounterQuery {
+  const char* name;
+  const char* paths;
+};
+
+const CounterQuery kCounterQueries[] = {
+    {"XM1", "/site/people/person@ /site/people/person/name#"},
+    {"XM2", "/site/open_auctions/open_auction/bidder/increase#"},
+    {"XM3", "/site/open_auctions/open_auction/bidder/increase#"},
+    {"XM4",
+     "/site/open_auctions/open_auction/bidder/personref@ "
+     "/site/open_auctions/open_auction/reserve#"},
+    {"XM5", "/site/closed_auctions/closed_auction/price#"},
+    {"XM6", "/site/regions//item@"},
+    {"XM7", "//description //annotation //emailaddress"},
+    {"XM8",
+     "/site/people/person@ /site/people/person/name# "
+     "/site/closed_auctions/closed_auction/buyer@"},
+    {"XM9",
+     "/site/people/person@ /site/people/person/name# "
+     "/site/closed_auctions/closed_auction/buyer@ "
+     "/site/closed_auctions/closed_auction/itemref@ "
+     "/site/regions/europe/item@ /site/regions/europe/item/name#"},
+    {"XM10",
+     "/site/categories/category@ /site/categories/category/name# "
+     "/site/people/person@ /site/people/person/name# "
+     "/site/people/person/emailaddress# /site/people/person/homepage# "
+     "/site/people/person/creditcard# /site/people/person/address# "
+     "/site/people/person/profile#"},
+    {"XM11",
+     "/site/people/person/name# /site/people/person/profile@ "
+     "/site/open_auctions/open_auction/initial#"},
+    {"XM12",
+     "/site/people/person/profile@ "
+     "/site/open_auctions/open_auction/initial#"},
+    {"XM13",
+     "/site/regions/australia/item/name# "
+     "/site/regions/australia/item/description#"},
+    {"XM14", "/site//item/name# /site//item/description#"},
+    {"XM17", "/site/people/person/name# /site/people/person/homepage"},
+    {"XM18", "/site/open_auctions/open_auction/initial#"},
+    {"XM19", "/site/regions//item/location# /site/regions//item/name#"},
+    {"XM20", "/site/people/person/profile@"},
+};
+
+std::string CounterLine(const std::string& name, const core::RunStats& st) {
+  std::ostringstream line;
+  line << name << ' ' << st.matches << ' ' << st.output_bytes << ' '
+       << st.search.comparisons << ' ' << st.scan_chars << ' '
+       << st.initial_jump_chars << ' ' << st.bm_searches << ' '
+       << st.cw_searches << ' ' << st.window_peak << '\n';
+  return line.str();
+}
+
+TEST(CounterGoldenTest, XmarkWorkloadCountersMatchCheckedInGolden) {
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 2 << 20;
+  gen.seed = 16;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+
+  std::string actual =
+      "# name matches output_bytes search_comparisons scan_chars "
+      "initial_jump_chars bm_searches cw_searches window_peak\n";
+  std::vector<std::vector<paths::ProjectionPath>> mix;
+  for (const CounterQuery& q : kCounterQueries) {
+    auto paths = paths::ProjectionPath::ParseList(q.paths);
+    ASSERT_TRUE(paths.ok()) << q.name;
+    mix.push_back(*paths);
+    auto pf = core::Prefilter::Compile(xmlgen::XmarkDtd(), std::move(*paths));
+    ASSERT_TRUE(pf.ok()) << q.name << ": " << pf.status().ToString();
+    core::RunStats st;
+    auto out = pf->RunOnBuffer(doc, &st);
+    ASSERT_TRUE(out.ok()) << q.name << ": " << out.status().ToString();
+    actual += CounterLine(q.name, st);
+  }
+
+  auto mq = query::MultiQuery::Compile(xmlgen::XmarkDtd(), std::move(mix));
+  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
+  std::vector<CountingSink> sinks(static_cast<size_t>(mq->num_queries()));
+  std::vector<OutputSink*> ptrs;
+  for (CountingSink& s : sinks) ptrs.push_back(&s);
+  core::RunStats st;
+  Status s = mq->RunOnBuffer(doc, ptrs, nullptr, &st);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  actual += CounterLine("XM-mix", st);
+
+  EXPECT_EQ(actual, DataFile("xmark_counters.golden"))
+      << "deterministic work counters moved; if intended, replace "
+         "tests/data/xmark_counters.golden with:\n"
+      << actual;
 }
 
 }  // namespace
