@@ -22,6 +22,12 @@ Result<size_t> MemoryInputStream::Read(char* buf, size_t len) {
   return n;
 }
 
+std::string_view MemoryInputStream::TakeResident() {
+  std::string_view rest = data_.substr(pos_);
+  pos_ = data_.size();
+  return rest;
+}
+
 Result<size_t> MemorySource::ReadAt(uint64_t offset, char* buf,
                                     size_t len) const {
   if (offset >= data_.size()) return static_cast<size_t>(0);
@@ -664,26 +670,37 @@ Status OrderedCommitSink::status() const {
 SlidingWindow::SlidingWindow(InputStream* in, size_t capacity,
                              uint64_t origin)
     : in_(in),
-      buf_(std::max<size_t>(capacity, 64)),
+      resident_(in->TakeResident()),
+      capacity_(std::max<size_t>(capacity, 64)),
       origin_(origin),
       base_(origin),
       lock_(origin) {
-  max_capacity_ = buf_.size();
+  if (resident_.empty()) buf_.resize(capacity_);
+  data_ = resident_.empty() ? buf_.data() : resident_.data();
+  max_capacity_ = capacity_;
+}
+
+const char* SlidingWindow::Pull(uint64_t at, size_t buf_off, size_t len,
+                                size_t* n) {
+  if (!resident_.empty()) {
+    const size_t taken = static_cast<size_t>(at - origin_);
+    *n = std::min(len, resident_.size() - taken);
+    if (*n == 0) eof_ = true;
+    return resident_.data() + taken;
+  }
+  char* dst = buf_.data() + buf_off;
+  Result<size_t> got = in_->Read(dst, len);
+  if (!got.ok()) status_ = got.status();
+  *n = got.ok() ? *got : 0;
+  if (*n == 0) eof_ = true;
+  return dst;
 }
 
 void SlidingWindow::Fill() {
-  while (!eof_ && size_ < buf_.size()) {
-    Result<size_t> n = in_->Read(buf_.data() + size_, buf_.size() - size_);
-    if (!n.ok()) {
-      status_ = n.status();
-      eof_ = true;
-      return;
-    }
-    if (*n == 0) {
-      eof_ = true;
-      return;
-    }
-    size_ += *n;
+  while (!eof_ && size_ < capacity_) {
+    size_t n;
+    Pull(base_ + size_, size_, capacity_ - size_, &n);
+    size_ += n;
   }
 }
 
@@ -691,7 +708,7 @@ void SlidingWindow::SlideTo(uint64_t new_base) {
   if (new_base <= base_) return;
   uint64_t evict_end = std::min<uint64_t>(new_base, base_ + size_);
   if (evict_fn_ && evict_end > base_) {
-    evict_fn_(base_, std::string_view(buf_.data(),
+    evict_fn_(base_, std::string_view(data_,
                                       static_cast<size_t>(evict_end - base_)));
   }
   size_t drop = static_cast<size_t>(new_base - base_);
@@ -707,24 +724,24 @@ void SlidingWindow::SlideTo(uint64_t new_base) {
     size_ = 0;
     while (skip > 0 && !eof_) {
       size_t chunk = static_cast<size_t>(
-          std::min<uint64_t>(skip, buf_.size()));
-      Result<size_t> n = in_->Read(buf_.data(), chunk);
-      if (!n.ok()) {
-        status_ = n.status();
-        eof_ = true;
-        break;
-      }
-      if (*n == 0) {
-        eof_ = true;
-        break;
-      }
-      if (evict_fn_) evict_fn_(gap_pos, std::string_view(buf_.data(), *n));
-      gap_pos += *n;
-      skip -= *n;
+          std::min<uint64_t>(skip, capacity_));
+      size_t n;
+      const char* got = Pull(gap_pos, 0, chunk, &n);
+      if (n == 0) break;
+      if (evict_fn_) evict_fn_(gap_pos, std::string_view(got, n));
+      gap_pos += n;
+      skip -= n;
     }
     base_ = gap_pos;
+    if (!resident_.empty()) {
+      data_ = resident_.data() + static_cast<size_t>(base_ - origin_);
+    }
   } else {
-    std::memmove(buf_.data(), buf_.data() + drop, size_ - drop);
+    if (resident_.empty()) {
+      std::memmove(buf_.data(), buf_.data() + drop, size_ - drop);
+    } else {
+      data_ += drop;
+    }
     size_ -= drop;
     base_ = new_base;
   }
@@ -737,13 +754,15 @@ size_t SlidingWindow::Ensure(uint64_t pos, size_t len) {
   // Grow if the span from the lock (or pos) to want_end cannot fit.
   uint64_t keep_from = std::min(lock_, pos);
   if (keep_from < base_) keep_from = base_;  // already evicted; nothing to do
-  if (want_end - keep_from > buf_.size()) {
-    size_t new_cap = buf_.size();
-    while (want_end - keep_from > new_cap) new_cap *= 2;
-    std::vector<char> nbuf(new_cap);
-    std::memcpy(nbuf.data(), buf_.data(), size_);
-    buf_.swap(nbuf);
-    max_capacity_ = std::max(max_capacity_, buf_.size());
+  if (want_end - keep_from > capacity_) {
+    while (want_end - keep_from > capacity_) capacity_ *= 2;
+    if (resident_.empty()) {
+      std::vector<char> nbuf(capacity_);
+      std::memcpy(nbuf.data(), buf_.data(), size_);
+      buf_.swap(nbuf);
+      data_ = buf_.data();
+    }
+    max_capacity_ = std::max(max_capacity_, capacity_);
   }
   if (keep_from > base_) SlideTo(keep_from);
   if (want_end > base_ + size_) Fill();
@@ -755,7 +774,7 @@ size_t SlidingWindow::Ensure(uint64_t pos, size_t len) {
 std::string_view SlidingWindow::View(uint64_t pos, size_t len) {
   size_t got = Ensure(pos, len);
   if (got == 0) return {};
-  return std::string_view(buf_.data() + (pos - base_),
+  return std::string_view(data_ + (pos - base_),
                           static_cast<size_t>(base_ + size_ - pos));
 }
 

@@ -27,6 +27,12 @@ class InputStream {
   /// Reads up to `len` bytes into `buf`. Returns the number of bytes read;
   /// 0 signals end of stream.
   virtual Result<size_t> Read(char* buf, size_t len) = 0;
+
+  /// For a stream whose unread bytes already sit in memory that outlives
+  /// its readers: consumes them all and returns them, so the reader can
+  /// scan them in place instead of copying. Empty, consuming nothing, for
+  /// streams that must be Read.
+  virtual std::string_view TakeResident() { return {}; }
 };
 
 /// Random-access view of a whole input of known size. Unlike InputStream,
@@ -147,6 +153,7 @@ class MemoryInputStream : public InputStream {
   explicit MemoryInputStream(std::string_view data) : data_(data) {}
 
   Result<size_t> Read(char* buf, size_t len) override;
+  std::string_view TakeResident() override;
 
  private:
   std::string_view data_;
@@ -472,8 +479,15 @@ class OrderedCommitSink {
 /// positions). `set_lock()` marks the oldest absolute position that must
 /// stay resident; the window slides past everything older, invoking the
 /// eviction hook so that pending copy output can be flushed incrementally.
-/// The buffer grows only if the locked region itself outgrows the capacity
+/// The window grows only if the locked region itself outgrows the capacity
 /// (e.g. a single element copied as one piece larger than the window).
+///
+/// Over a stream whose bytes are already in memory (InputStream::
+/// TakeResident: in-memory and mmap'ed documents of serial runs) the window
+/// is a view into those bytes: the same positions, slides, growth,
+/// eviction ranges and gap chunks as a buffered window of the same
+/// capacity, but nothing is read or moved. Every other stream (files,
+/// stdin, push-mode chunk feeds) is copied into the buffer.
 class SlidingWindow {
  public:
   /// Hook invoked with evicted bytes, in stream order, before discard.
@@ -502,7 +516,7 @@ class SlidingWindow {
   /// at span boundaries.
   std::string_view Span(uint64_t pos) const {
     if (pos < base_ || pos >= base_ + size_) return {};
-    return std::string_view(buf_.data() + (pos - base_),
+    return std::string_view(data_ + (pos - base_),
                             static_cast<size_t>(base_ + size_ - pos));
   }
 
@@ -511,7 +525,7 @@ class SlidingWindow {
   std::string_view RefillAt(uint64_t pos) { return View(pos, 1); }
 
   /// Byte at absolute position `pos`; caller must have Ensure()d it.
-  char At(uint64_t pos) const { return buf_[pos - base_]; }
+  char At(uint64_t pos) const { return data_[pos - base_]; }
 
   /// True once the underlying stream is exhausted *and* `pos` is at or past
   /// the last byte.
@@ -529,8 +543,8 @@ class SlidingWindow {
   uint64_t limit() const { return base_ + size_; }
   /// Total bytes pulled from the stream so far.
   uint64_t bytes_read() const { return base_ + size_; }
-  /// Current buffer capacity (grows only when the locked span forces it).
-  size_t capacity() const { return buf_.size(); }
+  /// Current capacity (grows only when the locked span forces it).
+  size_t capacity() const { return capacity_; }
   /// High-water mark of the buffer capacity; proxy for peak memory.
   size_t max_capacity_used() const { return max_capacity_; }
   /// Absolute position of the first byte the stream delivered.
@@ -548,12 +562,20 @@ class SlidingWindow {
  private:
   void SlideTo(uint64_t new_base);
   void Fill();
+  /// Delivers up to `len` stream bytes for absolute position `at` (the
+  /// first byte not yet delivered): read into buf_ at `buf_off`, or in
+  /// place in view mode. Returns where they are; `*n` = 0 at end of input
+  /// or on error, which sets eof_ (and status_).
+  const char* Pull(uint64_t at, size_t buf_off, size_t len, size_t* n);
 
   InputStream* in_;
-  std::vector<char> buf_;
+  std::string_view resident_;  // the stream's bytes in view mode, else empty
+  std::vector<char> buf_;      // copy mode only
+  const char* data_ = nullptr; // byte at base_ (into buf_ or resident_)
+  size_t capacity_ = 0;
   uint64_t origin_ = 0; // absolute position of the stream's first byte
-  uint64_t base_ = 0;   // absolute position of buf_[0]
-  size_t size_ = 0;     // valid bytes in buf_
+  uint64_t base_ = 0;   // absolute position of data_[0]
+  size_t size_ = 0;     // valid bytes at data_
   uint64_t lock_ = 0;   // bytes >= lock_ must stay resident
   bool eof_ = false;
   size_t max_capacity_ = 0;

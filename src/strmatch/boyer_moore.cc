@@ -132,12 +132,25 @@ BoyerMooreMatcher::BoyerMooreMatcher(std::string pattern) {
       probe_pos_ = i;
     }
   }
-  // Second probe for the pair scan (long patterns only): the rarest byte at
-  // any other position. Requiring both bytes to match multiplies the two
-  // densities, which is what keeps verify counts low on text-heavy input
-  // where even the rarest single byte still occurs every few hundred
-  // characters.
-  if (m >= 4) {
+  // Second probe for the pair scan: the rarest byte at any other position.
+  // Requiring both bytes to match multiplies the two densities, which is
+  // what keeps verify counts low on text-heavy input where even the rarest
+  // single byte still occurs every few hundred characters. A tag keyword
+  // ("<t...", "</t...") pairs its '<' with the rarest NAME byte: '/' ranks
+  // rarer than any letter, yet "</" starts every closing tag, so pairing
+  // '<' with it would verify every closing tag of the document.
+  const size_t name_begin = m > 1 && p[1] == '/' ? 2 : 1;
+  if (p[0] == '<' && name_begin < m) {
+    probe_pos_ = 0;
+    probe2_pos_ = name_begin;
+    for (size_t i = name_begin + 1; i < m; ++i) {
+      if (XmlByteRarity(static_cast<unsigned char>(p[i])) <=
+          XmlByteRarity(static_cast<unsigned char>(p[probe2_pos_]))) {
+        probe2_pos_ = i;
+      }
+    }
+    pair_probe_ = true;
+  } else if (m >= 4) {
     pair_probe_ = true;
     probe2_pos_ = probe_pos_ == 0 ? 1 : 0;
     for (size_t i = 1; i < m; ++i) {
@@ -229,9 +242,9 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
   };
 
   // Probe positions s in [from + lo, n - m + lo]; alignment a = s - lo.
-  // The pair probe (long patterns) keeps a candidate only when BOTH probe
-  // bytes match, which multiplies the two densities. Its full-block loads
-  // stay in bounds: k + 64 <= scan_end implies
+  // The pair probe (tag keywords, other long patterns) keeps a candidate
+  // only when BOTH probe bytes match, which multiplies the two densities.
+  // Its full-block loads stay in bounds: k + 64 <= scan_end implies
   // k + delta + 64 <= n - m + hi + 1 <= n.
   const size_t lo = pair_probe_ ? std::min(kp, probe2_pos_) : kp;
   const size_t hi = pair_probe_ ? std::max(kp, probe2_pos_) : kp;

@@ -38,7 +38,7 @@ class BoyerMooreMatcher : public Matcher {
   std::vector<size_t> good_suffix_;         // shift for mismatch at index j
   bool skip_loops_ = true;                  // rare-byte probe fast path
   size_t probe_pos_ = 0;                    // offset of the rarest byte
-  size_t probe2_pos_ = 0;                   // offset of the 2nd-rarest byte
+  size_t probe2_pos_ = 0;                   // offset of the pair's 2nd byte
   bool pair_probe_ = false;                 // use the two-byte pair probe
 };
 

@@ -151,6 +151,23 @@ CommentzWalterMatcher::CommentzWalterMatcher(
         fwd_[static_cast<size_t>(node)].pattern = static_cast<int32_t>(pi);
       }
     }
+    // Candidate filter offset (see header).
+    size_t best = sizeof(filter_set_.chars) + 1;
+    for (size_t d = 1; d < wmin; ++d) {
+      std::array<bool, 256> seen{};
+      std::string members;
+      for (const std::string& p : patterns_) {
+        unsigned char c = static_cast<unsigned char>(p[d]);
+        if (!seen[c]) {
+          seen[c] = true;
+          members.push_back(static_cast<char>(c));
+        }
+      }
+      if (seen['/'] || members.size() >= best) continue;
+      best = members.size();
+      filter_offset_ = d;
+      filter_set_ = simd::ByteSet(members);
+    }
   }
 }
 
@@ -185,19 +202,29 @@ Match CommentzWalterMatcher::SearchFast(std::string_view text, size_t from,
   };
 
   // Candidate scan: pop every lead-byte hit out of each 64-byte block's
-  // dispatched bitmap (simd/simd.h). Hits come in ascending text order
+  // dispatched bitmap (simd/simd.h), ANDed with the filter bitmap of the
+  // bytes filter_offset_ further on. Hits come in ascending text order
   // under every tier, so matches and stats are tier-independent.
   const simd::Kernels& kn = simd::Active();
   const unsigned char* ud = reinterpret_cast<const unsigned char*>(d);
+  const size_t fd = filter_offset_;
   size_t k = from;
   while (k < n) {
-    size_t take = n - k;
+    const size_t avail = n - k;
+    const size_t take = avail < simd::kBlock ? avail : simd::kBlock;
     uint64_t hits;
-    if (take >= simd::kBlock) {
-      take = simd::kBlock;
+    if (avail >= simd::kBlock + fd) {
       hits = kn.eq64(ud + k, lead);
+      if (fd != 0 && hits != 0) hits &= kn.any64(ud + k + fd, filter_set_);
     } else {
       hits = simd::EqMaskTail(ud + k, take, lead);
+      // A lead byte within fd bytes of the end starts no occurrence
+      // (fd < wmin), so its filter bit stays 0.
+      if (fd != 0 && hits != 0) {
+        hits &= avail > fd
+                    ? simd::AnyMaskTail(ud + k + fd, avail - fd, filter_set_)
+                    : 0;
+      }
     }
     while (hits != 0) {
       size_t s = k + simd::NextSetBit(hits);

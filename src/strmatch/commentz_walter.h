@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "simd/simd.h"
 #include "strmatch/matcher.h"
 
 namespace smpx::strmatch {
@@ -88,6 +89,16 @@ class CommentzWalterMatcher : public Matcher {
   bool skip_loops_ = true;  // bitmap candidate scan (see set_skip_loops)
   char lead_ = 0;
   std::vector<ForwardTrieNode> fwd_;  // rooted at fwd_[0]'s lead child
+
+  // Exact candidate filter of the fast path: an occurrence at s has
+  // text[s + d] == p[d] for every d < wmin, so a lead byte whose byte at
+  // filter_offset_ is no vocabulary byte at that offset cannot start one
+  // and is dropped without a verify. The offset is the d in [1, wmin)
+  // with the fewest distinct vocabulary bytes that fit a ByteSet and
+  // include no '/' ('/' follows '<' in every closing tag, so a set holding
+  // it filters nothing there); 0 when no offset qualifies (filter off).
+  size_t filter_offset_ = 0;
+  simd::ByteSet filter_set_;
 };
 
 /// Set-Horspool: same reversed trie, but shifts only by the bad-character

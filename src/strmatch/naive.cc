@@ -91,8 +91,9 @@ Match MemchrMatcher::Search(std::string_view text, size_t from,
           break;
         }
       }
+      // The shortest pattern at the candidate ends first (minimal end).
       if (ok && (!best.found() ||
-                 p.size() > patterns_[static_cast<size_t>(best.pattern)]
+                 p.size() < patterns_[static_cast<size_t>(best.pattern)]
                                 .size())) {
         best = Match{cand, static_cast<int>(pi)};
       }

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -257,6 +259,90 @@ TEST(SlidingWindowTest, EnsurePastEofReturnsShortCount) {
   EXPECT_EQ(win.Ensure(0, 10), 3u);
   EXPECT_EQ(win.Ensure(3, 1), 0u);
   EXPECT_TRUE(win.AtEnd(3));
+}
+
+TEST(MemoryInputStreamTest, TakeResidentConsumesTheUnreadBytes) {
+  MemoryInputStream in("hello world");
+  char buf[8];
+  ASSERT_EQ(*in.Read(buf, 6), 6u);
+  EXPECT_EQ(in.TakeResident(), "world");
+  EXPECT_EQ(*in.Read(buf, 8), 0u) << "TakeResident consumed the rest";
+  EXPECT_TRUE(in.TakeResident().empty());
+}
+
+// A window over a resident stream (MemoryInputStream) is a view into the
+// caller's bytes; a window over any other stream copies them. Both must
+// behave identically: same return values, views, positions, capacities,
+// end-of-input and eviction calls, for any access sequence the engine can
+// make (a lock that only moves forward, reads at or after it, jumps far
+// past the window, spans longer than the capacity).
+TEST(SlidingWindowTest, ResidentViewMatchesBufferedCopy) {
+  std::mt19937 rng(7);
+  for (size_t capacity : {size_t{64}, size_t{100}, size_t{4096}}) {
+    for (size_t doc_size : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                            size_t{65}, size_t{100}, size_t{5000},
+                            size_t{20000}}) {
+      for (uint64_t origin : {uint64_t{0}, uint64_t{12345}}) {
+        std::string doc(doc_size, '\0');
+        for (char& c : doc) c = static_cast<char>('a' + rng() % 26);
+        MemoryInputStream resident_in(doc);
+        MemorySource source(doc);
+        SourceStream copied_in(&source);
+        SlidingWindow view(&resident_in, capacity, origin);
+        SlidingWindow copy(&copied_in, capacity, origin);
+        std::vector<std::pair<uint64_t, std::string>> view_evicted;
+        std::vector<std::pair<uint64_t, std::string>> copy_evicted;
+        view.set_evict_fn([&](uint64_t begin, std::string_view data) {
+          view_evicted.emplace_back(begin, std::string(data));
+        });
+        copy.set_evict_fn([&](uint64_t begin, std::string_view data) {
+          copy_evicted.emplace_back(begin, std::string(data));
+        });
+        const std::string what = "capacity " + std::to_string(capacity) +
+                                 " size " + std::to_string(doc_size) +
+                                 " origin " + std::to_string(origin);
+        uint64_t lock = origin;
+        const uint64_t end = origin + doc_size;
+        for (int step = 0; step < 400 && lock <= end; ++step) {
+          // Mostly small forward steps; sometimes a jump past the window.
+          uint64_t advance = rng() % 8 == 0 ? rng() % (3 * capacity)
+                                            : rng() % 40;
+          uint64_t pos = lock + rng() % 50;
+          size_t len = rng() % 16 == 0 ? 1 + rng() % (2 * capacity)
+                                       : 1 + rng() % 20;
+          switch (rng() % 4) {
+            case 0:
+              ASSERT_EQ(view.Ensure(pos, len), copy.Ensure(pos, len)) << what;
+              break;
+            case 1:
+              ASSERT_EQ(view.View(pos, len), copy.View(pos, len)) << what;
+              break;
+            case 2:
+              ASSERT_EQ(view.Span(pos), copy.Span(pos)) << what;
+              ASSERT_EQ(view.RefillAt(pos), copy.RefillAt(pos)) << what;
+              break;
+            default:
+              ASSERT_EQ(view.AtEnd(pos), copy.AtEnd(pos)) << what;
+              break;
+          }
+          ASSERT_EQ(view.base(), copy.base()) << what;
+          ASSERT_EQ(view.limit(), copy.limit()) << what;
+          ASSERT_EQ(view.capacity(), copy.capacity()) << what;
+          ASSERT_EQ(view.max_capacity_used(), copy.max_capacity_used())
+              << what;
+          ASSERT_EQ(view.eof_seen(), copy.eof_seen()) << what;
+          if (view.limit() > view.base()) {
+            ASSERT_EQ(view.At(view.base()), copy.At(copy.base())) << what;
+          }
+          lock += advance;
+          view.set_lock(lock);
+          copy.set_lock(lock);
+        }
+        EXPECT_EQ(view_evicted, copy_evicted) << what;
+        EXPECT_TRUE(view.status().ok());
+      }
+    }
+  }
 }
 
 TEST(HashStabilityTest, Hash64ValuesArePinnedForever) {

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include "paths/relevance.h"
 #include "paths/xquery_extract.h"
 #include "query/equivalence.h"
+#include "query/multiquery.h"
 #include "xml/tokenizer.h"
 #include "xmlgen/dtd_sampler.h"
 #include "xmlgen/xmark.h"
@@ -213,6 +215,211 @@ TEST(EnginePropertyTest, WindowSizeNeverChangesOutput) {
         reference = *out;
       } else {
         ASSERT_EQ(*out, reference) << "window " << window;
+      }
+    }
+  }
+}
+
+// Resident vs streamed input: a run over a MemoryInputStream scans a view
+// of the caller's bytes, a run over a SourceStream copies them into the
+// window buffer. Everything observable must be identical: status, every
+// Append boundary, the output bytes, and every RunStats counter including
+// window_peak.
+
+/// Keeps every Append, so the parity checks see the flush boundaries.
+class RecordingSink : public OutputSink {
+ public:
+  Status Append(std::string_view data) override {
+    appends.push_back(data.size());
+    bytes.append(data);
+    bytes_written_ += data.size();
+    return Status::Ok();
+  }
+  std::vector<size_t> appends;
+  std::string bytes;
+};
+
+void ExpectSameRunStats(const core::RunStats& a, const core::RunStats& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.input_bytes, b.input_bytes) << what;
+  EXPECT_EQ(a.output_bytes, b.output_bytes) << what;
+  EXPECT_EQ(a.search.comparisons, b.search.comparisons) << what;
+  EXPECT_EQ(a.search.shifts, b.search.shifts) << what;
+  EXPECT_EQ(a.search.shift_chars, b.search.shift_chars) << what;
+  EXPECT_EQ(a.scan_chars, b.scan_chars) << what;
+  EXPECT_EQ(a.initial_jumps, b.initial_jumps) << what;
+  EXPECT_EQ(a.initial_jump_chars, b.initial_jump_chars) << what;
+  EXPECT_EQ(a.matches, b.matches) << what;
+  EXPECT_EQ(a.false_matches, b.false_matches) << what;
+  EXPECT_EQ(a.states_visited, b.states_visited) << what;
+  EXPECT_EQ(a.bm_searches, b.bm_searches) << what;
+  EXPECT_EQ(a.cw_searches, b.cw_searches) << what;
+  EXPECT_EQ(a.window_peak, b.window_peak) << what;
+}
+
+struct ParityRun {
+  Status status;
+  core::RunStats stats;
+  RecordingSink sink;
+};
+
+/// Runs `pf` over `doc` resident and streamed; returns the resident run's
+/// window_peak after checking the two runs are identical.
+size_t ExpectResidentMatchesStreamed(const core::Prefilter& pf,
+                                     std::string_view doc, size_t capacity,
+                                     const std::string& what) {
+  core::EngineOptions opts;
+  opts.window_capacity = capacity;
+  ParityRun resident;
+  MemoryInputStream resident_in(doc);
+  resident.status =
+      pf.Run(&resident_in, &resident.sink, &resident.stats, opts);
+  ParityRun streamed;
+  MemorySource source(doc);
+  SourceStream streamed_in(&source);
+  streamed.status =
+      pf.Run(&streamed_in, &streamed.sink, &streamed.stats, opts);
+  const std::string where = what + " window " + std::to_string(capacity);
+  EXPECT_EQ(resident.status.ToString(), streamed.status.ToString()) << where;
+  EXPECT_EQ(resident.sink.appends, streamed.sink.appends) << where;
+  EXPECT_EQ(resident.sink.bytes, streamed.sink.bytes) << where;
+  ExpectSameRunStats(resident.stats, streamed.stats, where);
+  return resident.stats.window_peak;
+}
+
+constexpr size_t kParityCapacities[] = {64, 100, 4096, 32768};
+
+TEST(WindowParityTest, ResidentRunMatchesStreamedRun) {
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 256 << 10;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  const char* queries[] = {
+      "/site/people/person@ /site/people/person/name#",
+      "/site/regions//item@",
+      "//description //annotation //emailaddress",
+      "/site//item/name# /site//item/description#",
+      "/*",
+  };
+  for (const char* q : queries) {
+    auto parsed = paths::ProjectionPath::ParseList(q);
+    ASSERT_TRUE(parsed.ok());
+    auto pf = core::Prefilter::Compile(xmlgen::XmarkDtd(), *parsed);
+    ASSERT_TRUE(pf.ok()) << pf.status().ToString();
+    for (size_t capacity : kParityCapacities) {
+      ExpectResidentMatchesStreamed(*pf, doc, capacity, q);
+      // A truncated document fails the same way on both paths.
+      ExpectResidentMatchesStreamed(*pf, doc.substr(0, doc.size() / 2),
+                                    capacity, std::string("truncated ") + q);
+    }
+  }
+}
+
+TEST(WindowParityTest, EmptyInputFailsTheSameWay) {
+  core::Prefilter pf = Compile(kPaperDtd, "/a/b#");
+  for (size_t capacity : kParityCapacities) {
+    ExpectResidentMatchesStreamed(pf, "", capacity, "empty");
+  }
+}
+
+TEST(WindowParityTest, GrowthPathMatches) {
+  // A keyword longer than the window must be resident as one piece, so
+  // the window grows past its capacity.
+  const std::string name(200, 'n');
+  const std::string dtd = "<!DOCTYPE a [ <!ELEMENT a (b | " + name +
+                          ")*> <!ELEMENT b (#PCDATA)> <!ELEMENT " + name +
+                          " (#PCDATA)> ]>";
+  core::Prefilter pf = Compile(dtd, "/a/" + name + "#");
+  std::string doc = "<a>";
+  for (int i = 0; i < 30; ++i) {
+    doc += "<b>x</b><" + name + ">t</" + name + ">";
+  }
+  doc += "</a>";
+  for (size_t capacity : kParityCapacities) {
+    size_t peak = ExpectResidentMatchesStreamed(pf, doc, capacity, "growth");
+    if (capacity < name.size()) {
+      EXPECT_GT(peak, capacity) << "growth not reached";
+    }
+  }
+}
+
+TEST(WindowParityTest, InitialJumpPastTheWindowMatches) {
+  // Eight required <dddddddddd> children: each initial jump over <b> is
+  // longer than the smaller windows, so it slides across a gap.
+  const char dtd[] =
+      "<!DOCTYPE a [ <!ELEMENT a (r*)> <!ELEMENT r (b, c)>"
+      " <!ELEMENT b (dddddddddd, dddddddddd, dddddddddd, dddddddddd,"
+      " dddddddddd, dddddddddd, dddddddddd, dddddddddd)>"
+      " <!ELEMENT dddddddddd (#PCDATA)> <!ELEMENT c (#PCDATA)> ]>";
+  core::Prefilter pf = Compile(dtd, "/a/r/c#");
+  std::string record = "<r><b>";
+  for (int i = 0; i < 8; ++i) record += "<dddddddddd>text</dddddddddd>";
+  record += "</b><c>keep</c></r>";
+  std::string doc = "<a>";
+  for (int i = 0; i < 20; ++i) doc += record;
+  doc += "</a>";
+  for (size_t capacity : kParityCapacities) {
+    ExpectResidentMatchesStreamed(pf, doc, capacity, "jump");
+  }
+  core::RunStats stats;
+  ASSERT_TRUE(pf.RunOnBuffer(doc, &stats).ok());
+  ASSERT_EQ(stats.initial_jumps, 20u);
+  EXPECT_GT(stats.initial_jump_chars / stats.initial_jumps, 100u)
+      << "the jumps must be longer than the 64- and 100-byte windows";
+}
+
+TEST(WindowParityTest, MultiQueryRunOnBufferMatchesStreamedRun) {
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 256 << 10;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  std::vector<std::vector<paths::ProjectionPath>> mix;
+  for (const char* q : {"/site/people/person@ /site/people/person/name#",
+                        "/site/regions//item@", "//description",
+                        "/site/open_auctions/open_auction/initial#"}) {
+    auto parsed = paths::ProjectionPath::ParseList(q);
+    ASSERT_TRUE(parsed.ok());
+    mix.push_back(*parsed);
+  }
+  auto mq = query::MultiQuery::Compile(xmlgen::XmarkDtd(), mix);
+  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
+  const size_t n = static_cast<size_t>(mq->num_queries());
+  for (size_t capacity : kParityCapacities) {
+    for (std::string_view input :
+         {std::string_view(doc), std::string_view(doc).substr(0, 100000)}) {
+      core::EngineOptions opts;
+      opts.window_capacity = capacity;
+      std::vector<RecordingSink> resident(n);
+      std::vector<RecordingSink> streamed(n);
+      std::vector<OutputSink*> resident_ptrs;
+      std::vector<OutputSink*> streamed_ptrs;
+      for (size_t q = 0; q < n; ++q) {
+        resident_ptrs.push_back(&resident[q]);
+        streamed_ptrs.push_back(&streamed[q]);
+      }
+      std::vector<core::QueryRunStats> resident_q;
+      std::vector<core::QueryRunStats> streamed_q;
+      core::RunStats resident_stats;
+      core::RunStats streamed_stats;
+      Status rs = mq->RunOnBuffer(input, resident_ptrs, &resident_q,
+                                  &resident_stats, opts);
+      MemorySource source(input);
+      SourceStream streamed_in(&source);
+      Status ss = mq->Run(&streamed_in, streamed_ptrs, &streamed_q,
+                          &streamed_stats, opts);
+      const std::string what = "multi window " + std::to_string(capacity) +
+                               " input " + std::to_string(input.size());
+      EXPECT_EQ(rs.ToString(), ss.ToString()) << what;
+      ExpectSameRunStats(resident_stats, streamed_stats, what);
+      for (size_t q = 0; q < n; ++q) {
+        EXPECT_EQ(resident[q].appends, streamed[q].appends) << what;
+        EXPECT_EQ(resident[q].bytes, streamed[q].bytes) << what;
+      }
+      // Per-query stats are filled only by a successful run.
+      ASSERT_EQ(resident_q.size(), rs.ok() ? n : 0) << what;
+      ASSERT_EQ(streamed_q.size(), resident_q.size()) << what;
+      for (size_t q = 0; q < resident_q.size(); ++q) {
+        EXPECT_EQ(resident_q[q].matches, streamed_q[q].matches) << what;
+        EXPECT_EQ(resident_q[q].output_bytes, streamed_q[q].output_bytes)
+            << what;
       }
     }
   }

@@ -15,11 +15,10 @@
 #include "strmatch/commentz_walter.h"
 #include "strmatch/matcher.h"
 #include "strmatch/naive.h"
+#include "simd/simd.h"
 
 namespace smpx::strmatch {
 namespace {
-
-
 
 TEST(BoyerMooreTest, FindsSingleOccurrence) {
   BoyerMooreMatcher m("ICDE");
@@ -171,13 +170,14 @@ TEST(FactoryTest, BmRejectsMultiplePatterns) {
 
 // ---------------------------------------------------------------------------
 // Property tests: every algorithm agrees with the naive oracle on random
-// texts and random pattern sets.
+// texts and random pattern sets -- under every simd tier, and (for BM/CW)
+// with the classical textbook loops as a second oracle.
 // ---------------------------------------------------------------------------
 
 struct DifferentialCase {
   Algorithm algo;
-  int alphabet;  // alphabet size for text and patterns
-  bool tag_style;  // patterns shaped like XML tag prefixes
+  int alphabet;    // alphabet size for text and patterns
+  bool tag_style;  // patterns shaped like XML tag prefixes, "<t" and "</t"
 };
 
 class DifferentialTest : public ::testing::TestWithParam<DifferentialCase> {};
@@ -191,8 +191,49 @@ std::string RandomString(std::mt19937* rng, int alphabet, size_t min_len,
   return s;
 }
 
-TEST_P(DifferentialTest, AgreesWithNaiveOracle) {
+/// A text spanning several 64-byte blocks: random bytes, tag openings
+/// ("<" and "</") sprinkled in for tag-style cases, and one pattern planted
+/// at a block edge or within a pattern length of the text end -- where the
+/// block kernels hand over to the masked tails.
+std::string DifferentialText(std::mt19937* rng, const DifferentialCase& param,
+                             const std::vector<std::string>& patterns) {
+  std::string text = RandomString(rng, param.alphabet, 0, 700);
+  if (param.tag_style) {
+    std::uniform_int_distribution<int> coin(0, 1);
+    for (size_t i = 0; i < text.size(); i += 13) {
+      text[i] = '<';
+      if (i + 1 < text.size() && coin(*rng) == 1) text[i + 1] = '/';
+    }
+  }
+  const std::string& p =
+      patterns[std::uniform_int_distribution<size_t>(0, patterns.size() - 1)(
+          *rng)];
+  if (text.size() < p.size()) return text;
+  const size_t last = text.size() - p.size();
+  const size_t spots[] = {0, 62, 63, 64, 65, 127, 128, 191, 192,
+                          last, last > 0 ? last - 1 : 0,
+                          last > 2 ? last - 2 : 0};
+  size_t at = spots[std::uniform_int_distribution<size_t>(
+      0, sizeof(spots) / sizeof(spots[0]) - 1)(*rng)];
+  if (at > last) at = last;
+  text.replace(at, p.size(), p);
+  return text;
+}
+
+void ExpectSameMatch(const Match& actual, const Match& expected,
+                     const std::vector<std::string>& patterns,
+                     const std::string& what) {
+  ASSERT_EQ(actual.found(), expected.found()) << what;
+  if (!expected.found()) return;
+  ASSERT_EQ(actual.pos, expected.pos) << what;
+  ASSERT_EQ(patterns[static_cast<size_t>(actual.pattern)],
+            patterns[static_cast<size_t>(expected.pattern)])
+      << what;
+}
+
+TEST_P(DifferentialTest, AgreesWithNaiveOracleAndClassicalLoops) {
   const DifferentialCase& param = GetParam();
+  const simd::Isa saved = simd::ActiveIsa();
   std::mt19937 rng(42);
   for (int round = 0; round < 200; ++round) {
     std::uniform_int_distribution<int> npat_dist(1, 5);
@@ -203,29 +244,44 @@ TEST_P(DifferentialTest, AgreesWithNaiveOracle) {
     std::vector<std::string> patterns;
     for (int i = 0; i < npat; ++i) {
       std::string p = RandomString(&rng, param.alphabet, 1, 8);
-      if (param.tag_style) p = "<" + p;
+      if (param.tag_style) {
+        p = (std::uniform_int_distribution<int>(0, 1)(rng) == 1 ? "</" : "<") +
+            p;
+      }
       patterns.push_back(p);
     }
-    std::string text = RandomString(&rng, param.alphabet, 0, 300);
-    if (param.tag_style) {
-      // Sprinkle tag-like openings so matches actually occur.
-      for (size_t i = 0; i < text.size(); i += 13) text[i] = '<';
-    }
+    const std::string text = DifferentialText(&rng, param, patterns);
+    const size_t froms[] = {
+        0, std::uniform_int_distribution<size_t>(0, text.size())(rng)};
 
     std::unique_ptr<Matcher> subject = MakeMatcher(patterns, param.algo);
     ASSERT_NE(subject, nullptr);
+    std::unique_ptr<Matcher> classical = MakeMatcher(patterns, param.algo);
+    classical->set_skip_loops(false);
     NaiveMatcher oracle(patterns);
 
-    Match expected = oracle.Search(text, 0, nullptr);
-    Match actual = subject->Search(text, 0, nullptr);
-    ASSERT_EQ(actual.found(), expected.found())
-        << subject->name() << " round " << round << " text=" << text;
-    if (expected.found()) {
-      ASSERT_EQ(actual.pos, expected.pos)
-          << subject->name() << " round " << round << " text=" << text;
-      ASSERT_EQ(patterns[static_cast<size_t>(actual.pattern)],
-                patterns[static_cast<size_t>(expected.pattern)])
-          << subject->name() << " round " << round;
+    for (size_t from : froms) {
+      const std::string what = std::string(subject->name()) + " round " +
+                               std::to_string(round) + " from " +
+                               std::to_string(from) + " text=" + text;
+      Match expected = oracle.Search(text, from, nullptr);
+      ExpectSameMatch(classical->Search(text, from, nullptr), expected,
+                      patterns, "classical " + what);
+      // Every tier must find the same match with the same stats.
+      SearchStats first_stats;
+      for (simd::Isa isa : simd::AvailableIsas()) {
+        simd::SetIsa(isa);
+        SearchStats stats;
+        ExpectSameMatch(subject->Search(text, from, &stats), expected,
+                        patterns,
+                        std::string(simd::IsaName(isa)) + " " + what);
+        if (isa == simd::Isa::kScalar) first_stats = stats;
+        EXPECT_EQ(stats.comparisons, first_stats.comparisons) << what;
+        EXPECT_EQ(stats.shifts, first_stats.shifts) << what;
+        EXPECT_EQ(stats.shift_chars, first_stats.shift_chars) << what;
+      }
+      simd::SetIsa(saved);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -236,12 +292,17 @@ INSTANTIATE_TEST_SUITE_P(
         DifferentialCase{Algorithm::kBoyerMoore, 2, false},
         DifferentialCase{Algorithm::kBoyerMoore, 4, false},
         DifferentialCase{Algorithm::kBoyerMoore, 26, false},
+        DifferentialCase{Algorithm::kBoyerMoore, 2, true},
+        DifferentialCase{Algorithm::kBoyerMoore, 4, true},
+        DifferentialCase{Algorithm::kBoyerMoore, 26, true},
         DifferentialCase{Algorithm::kHorspool, 2, false},
         DifferentialCase{Algorithm::kHorspool, 26, false},
         DifferentialCase{Algorithm::kCommentzWalter, 2, false},
         DifferentialCase{Algorithm::kCommentzWalter, 4, false},
         DifferentialCase{Algorithm::kCommentzWalter, 26, false},
+        DifferentialCase{Algorithm::kCommentzWalter, 2, true},
         DifferentialCase{Algorithm::kCommentzWalter, 4, true},
+        DifferentialCase{Algorithm::kCommentzWalter, 26, true},
         DifferentialCase{Algorithm::kSetHorspool, 2, false},
         DifferentialCase{Algorithm::kSetHorspool, 26, false},
         DifferentialCase{Algorithm::kSetHorspool, 4, true},
@@ -254,6 +315,67 @@ INSTANTIATE_TEST_SUITE_P(
       if (info.param.tag_style) name += "_tags";
       return name;
     });
+
+/// Comparisons a fast-path search spends on `text`, where no candidate is
+/// an occurrence: 0 when the candidate filter drops every lead byte.
+uint64_t ComparisonsOnMissText(const Matcher& m, const std::string& text) {
+  SearchStats stats;
+  EXPECT_FALSE(m.Search(text, 0, &stats).found()) << text;
+  return stats.comparisons;
+}
+
+std::string Repeat(const std::string& unit, size_t times) {
+  std::string out;
+  for (size_t i = 0; i < times; ++i) out += unit;
+  return out;
+}
+
+TEST(BoyerMooreTest, TagKeywordsPairTheLeadWithANameByte) {
+  // Closing tags of other names: a '<'+'/' pair probe would verify each;
+  // the '<'+name-byte probe verifies none.
+  const std::string closing = Repeat("</itex", 40);
+  EXPECT_EQ(ComparisonsOnMissText(BoyerMooreMatcher("</item"), closing), 0u);
+  EXPECT_EQ(ComparisonsOnMissText(BoyerMooreMatcher("<item"), closing), 0u);
+  // Short keywords pair '<' with their only name byte.
+  EXPECT_EQ(ComparisonsOnMissText(BoyerMooreMatcher("</a"), Repeat("</b", 50)),
+            0u);
+  EXPECT_EQ(ComparisonsOnMissText(BoyerMooreMatcher("<a"), Repeat("<b", 50)),
+            0u);
+}
+
+TEST(CommentzWalterTest, CandidateFilterDropsImpossibleLeadBytes) {
+  // Offset 1 holds {a}; "<x" can start no occurrence.
+  CommentzWalterMatcher opening({"<ab", "<ac"});
+  EXPECT_EQ(ComparisonsOnMissText(opening, Repeat("<xy", 50)), 0u);
+  // Mixed open/close vocabulary: offset 1 holds '/', so the filter takes
+  // offset 2 ({b, c}); closing tags of other names cost nothing.
+  CommentzWalterMatcher mixed({"<bc", "</c"});
+  EXPECT_EQ(ComparisonsOnMissText(mixed, Repeat("</x<y", 40)), 0u);
+}
+
+TEST(CommentzWalterTest, CandidateFilterStaysOffWithoutAValidOffset) {
+  const std::vector<std::vector<std::string>> vocabularies = {
+      {"<a", "</b"},  // wmin 2: the only offset holds '/'
+      {"</", "</a"},  // only '/' before wmin
+      // More than 8 distinct bytes at every offset.
+      {"<a1", "<b2", "<c3", "<d4", "<e5", "<f6", "<g7", "<h8", "<i9"},
+  };
+  for (const std::vector<std::string>& vocabulary : vocabularies) {
+    CommentzWalterMatcher m(vocabulary);
+    // Without a filter every lead byte is verified.
+    EXPECT_GT(ComparisonsOnMissText(m, Repeat("<z", 50)), 0u)
+        << vocabulary[0];
+    // And matching stays exact, at block edges and at the text end.
+    for (const std::string& p : vocabulary) {
+      for (size_t at : {size_t{0}, size_t{63}, size_t{64}, size_t{200}}) {
+        std::string text = Repeat("<z", 100).substr(0, at) + p;
+        Match r = m.Search(text, 0, nullptr);
+        ASSERT_TRUE(r.found()) << p << " at " << at;
+        EXPECT_EQ(r.pos, at) << p;
+      }
+    }
+  }
+}
 
 // Exhaustive sweep over all alignments: the match must be found wherever it
 // is planted, including at text boundaries.

@@ -102,6 +102,13 @@ int Usage(const char* argv0) {
       "                  (in.xml -> in.proj.xml). With --out FILE, outputs\n"
       "                  are instead concatenated into FILE in argument\n"
       "                  order through the ordered-commit pipeline\n"
+      "  --window S      sliding-window capacity (default 32K, the\n"
+      "                  paper's 8 pages; grows only for a construct\n"
+      "                  longer than S). Serial runs scan the mmap'ed\n"
+      "                  file (or the read-in stdin) through a view of\n"
+      "                  S bytes, copying nothing; --threads, --batch\n"
+      "                  and --index sessions copy their input through\n"
+      "                  a window of S bytes\n"
       "  --chunk S       streaming read granularity of --batch (default\n"
       "                  1M): bytes fed to a session per resume. Other\n"
       "                  runs, single- or multi-query, ignore it: they\n"
