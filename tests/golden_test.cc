@@ -12,6 +12,7 @@
 // target_bytes 4096, re-run the serial engine, and replace the files --
 // then justify the diff in review like any other golden-file change.
 
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -26,6 +27,7 @@
 #include "parallel/shard.h"
 #include "parallel/thread_pool.h"
 #include "query/multiquery.h"
+#include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
 
 namespace smpx {
@@ -197,10 +199,10 @@ TEST(GoldenCorpusTest, MultiQueryMixMatchesCheckedInProjections) {
   }
 }
 
-// The counter golden: the deterministic work counters of the XMark query
-// workload (XM1-XM14, XM17-XM20 as single-query runs, and the same 18
-// queries as one multi-query product run) on one fixed-seed generated
-// document, pinned in tests/data/xmark_counters.golden. Unlike wall time,
+// The counter goldens: the deterministic work counters of a query
+// workload on one fixed-seed generated document -- each query as a
+// single-query run, and all of them as one multi-query product run --
+// pinned in tests/data/<workload>_counters.golden. Unlike wall time,
 // these counters are exact on every host and kernel tier, so any change in
 // the work the prefilter does -- a matcher probe, a scan, a jump, a window
 // refill -- shows up here as an exact diff. An intended change regenerates
@@ -260,21 +262,21 @@ std::string CounterLine(const std::string& name, const core::RunStats& st) {
   return line.str();
 }
 
-TEST(CounterGoldenTest, XmarkWorkloadCountersMatchCheckedInGolden) {
-  xmlgen::XmarkOptions gen;
-  gen.target_bytes = 2 << 20;
-  gen.seed = 16;
-  const std::string doc = xmlgen::GenerateXmark(gen);
-
+/// The counter table of one workload: each query as a single-query run,
+/// then all of them as one multi-query product run named `mix_name`.
+void ExpectCountersMatchGolden(dtd::Dtd (*make_dtd)(), const std::string& doc,
+                               const CounterQuery* queries, size_t count,
+                               const char* mix_name, const char* golden) {
   std::string actual =
       "# name matches output_bytes search_comparisons scan_chars "
       "initial_jump_chars bm_searches cw_searches window_peak\n";
   std::vector<std::vector<paths::ProjectionPath>> mix;
-  for (const CounterQuery& q : kCounterQueries) {
+  for (size_t i = 0; i < count; ++i) {
+    const CounterQuery& q = queries[i];
     auto paths = paths::ProjectionPath::ParseList(q.paths);
     ASSERT_TRUE(paths.ok()) << q.name;
     mix.push_back(*paths);
-    auto pf = core::Prefilter::Compile(xmlgen::XmarkDtd(), std::move(*paths));
+    auto pf = core::Prefilter::Compile(make_dtd(), std::move(*paths));
     ASSERT_TRUE(pf.ok()) << q.name << ": " << pf.status().ToString();
     core::RunStats st;
     auto out = pf->RunOnBuffer(doc, &st);
@@ -282,7 +284,7 @@ TEST(CounterGoldenTest, XmarkWorkloadCountersMatchCheckedInGolden) {
     actual += CounterLine(q.name, st);
   }
 
-  auto mq = query::MultiQuery::Compile(xmlgen::XmarkDtd(), std::move(mix));
+  auto mq = query::MultiQuery::Compile(make_dtd(), std::move(mix));
   ASSERT_TRUE(mq.ok()) << mq.status().ToString();
   std::vector<CountingSink> sinks(static_cast<size_t>(mq->num_queries()));
   std::vector<OutputSink*> ptrs;
@@ -290,12 +292,49 @@ TEST(CounterGoldenTest, XmarkWorkloadCountersMatchCheckedInGolden) {
   core::RunStats st;
   Status s = mq->RunOnBuffer(doc, ptrs, nullptr, &st);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  actual += CounterLine("XM-mix", st);
+  actual += CounterLine(mix_name, st);
 
-  EXPECT_EQ(actual, DataFile("xmark_counters.golden"))
+  EXPECT_EQ(actual, DataFile(golden))
       << "deterministic work counters moved; if intended, replace "
-         "tests/data/xmark_counters.golden with:\n"
+         "tests/data/"
+      << golden << " with:\n"
       << actual;
+}
+
+// XMark: XM1-XM14 and XM17-XM20.
+TEST(CounterGoldenTest, XmarkWorkloadCountersMatchCheckedInGolden) {
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 2 << 20;
+  gen.seed = 16;
+  ExpectCountersMatchGolden(&xmlgen::XmarkDtd, xmlgen::GenerateXmark(gen),
+                            kCounterQueries, std::size(kCounterQueries),
+                            "XM-mix", "xmark_counters.golden");
+}
+
+// The MEDLINE workload (M1-M5, the paths of bench/bench_util.cc). Its long
+// keywords ("</MedlineJournalInfo", "<DateCompleted") reach the matchers'
+// multi-word verification, which XMark's short tag names rarely do.
+const CounterQuery kMedlineCounterQueries[] = {
+    {"M1", "/MedlineCitationSet//CollectionTitle#"},
+    {"M2",
+     "/MedlineCitationSet//DataBank/DataBankName# "
+     "/MedlineCitationSet//DataBank/AccessionNumberList#"},
+    {"M3",
+     "/MedlineCitationSet//PersonalNameSubjectList/PersonalNameSubject#"},
+    {"M4", "/MedlineCitationSet//CopyrightInformation#"},
+    {"M5",
+     "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo# "
+     "/MedlineCitationSet/MedlineCitation/DateCompleted#"},
+};
+
+TEST(CounterGoldenTest, MedlineWorkloadCountersMatchCheckedInGolden) {
+  xmlgen::MedlineOptions gen;
+  gen.target_bytes = 2 << 20;
+  gen.seed = 23;
+  ExpectCountersMatchGolden(&xmlgen::MedlineDtd, xmlgen::GenerateMedline(gen),
+                            kMedlineCounterQueries,
+                            std::size(kMedlineCounterQueries), "M-mix",
+                            "medline_counters.golden");
 }
 
 }  // namespace
