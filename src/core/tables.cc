@@ -27,7 +27,12 @@ constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
 /// resolver just re-runs those shards.
 constexpr int kMaxCopyDepth = 64;
 
-}  // namespace
+/// Static boundary-state analysis result (see
+/// RuntimeTables::boundary_states / boundary_copy_depths).
+struct BoundaryAnalysis {
+  std::vector<int> states;       ///< candidate DFA states, one per pair
+  std::vector<int> copy_depths;  ///< active copy regions at that boundary
+};
 
 /// Computes J[q] for one DFA state: the minimum, over all documents valid
 /// w.r.t. the DTD and all member NFA states, of the number of characters
@@ -193,6 +198,8 @@ BoundaryAnalysis ComputeBoundaryStates(const DtdAutomaton& aut,
   return out;
 }
 
+}  // namespace
+
 TagInterner::TagInterner(const std::vector<std::string>& names) {
   for (const std::string& n : names) {
     if (Find(n) >= 0) continue;
@@ -216,6 +223,11 @@ TagInterner::TagInterner(const std::vector<std::string>& names) {
   }
 }
 
+namespace {
+
+/// Sets state->matcher to the search structure over state->keywords
+/// (non-empty), with the candidate skip loops off under
+/// opts.disable_matcher_skip_loops.
 Status BuildStateMatcher(DfaState* state, const TableOptions& opts) {
   state->matcher = strmatch::MakeMatcher(state->keywords, opts.algorithm);
   if (state->matcher == nullptr) {
@@ -230,6 +242,8 @@ Status BuildStateMatcher(DfaState* state, const TableOptions& opts) {
   state->matcher->set_skip_loops(!opts.disable_matcher_skip_loops);
   return Status::Ok();
 }
+
+}  // namespace
 
 void InternTransitions(const std::vector<TransitionMap>& open,
                        const std::vector<TransitionMap>& close,
@@ -273,18 +287,15 @@ void InternTransitions(const std::vector<TransitionMap>& open,
   }
 }
 
-Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
-                                  const Selection& sel,
-                                  const SubgraphAutomaton& sub,
-                                  const TableOptions& opts) {
+Result<RuntimeTables> BuildTableStates(const dtd::DtdAutomaton& aut,
+                                       const Selection& sel,
+                                       const SubgraphAutomaton& sub) {
   RuntimeTables tables;
   tables.stopover_states = sel.stopover_states;
   tables.collapsed_pairs = sel.collapsed_pairs;
   for (bool b : sel.in_s) {
     if (b) ++tables.nfa_states_selected;
   }
-
-  dtd::MinSerial ms(&aut.dtd());
 
   // Subset construction over D|S. Subsets are sorted state-id vectors.
   std::map<std::vector<int>, int> subset_ids;
@@ -353,7 +364,7 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
   open_maps.resize(subsets.size());
   close_maps.resize(subsets.size());
 
-  // Actions (join over members), vocabularies, jumps, matchers.
+  // Actions (join over members), vocabularies.
   for (size_t q = 0; q < subsets.size(); ++q) {
     DfaState& state = tables.states[q];
 
@@ -393,32 +404,51 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
       state.max_keyword = std::max(state.max_keyword, k.size());
     }
 
-    if (!state.keywords.empty()) {
-      SMPX_RETURN_IF_ERROR(BuildStateMatcher(&state, opts));
-      if (state.keywords.size() == 1) {
-        ++tables.num_bm_states;
-      } else {
-        ++tables.num_cw_states;
-      }
-    } else if (!state.is_final) {
+    if (state.keywords.empty() && !state.is_final) {
       return Status::Internal(
           "non-final runtime state " + std::to_string(q) +
           " has an empty frontier vocabulary");
     }
 
-    if (opts.enable_initial_jumps && !state.keywords.empty()) {
-      state.jump = ComputeStateJump(aut, &ms, subsets[q], vocab_tokens);
-    }
-
-    // Retained for the multi-query product compiler (see DfaState doc).
+    // Read by the jump computation and the multi-query product compiler
+    // (see DfaState doc).
     state.subset_members = subsets[q];
     state.vocab_tokens.assign(vocab_tokens.begin(), vocab_tokens.end());
   }
 
   InternTransitions(open_maps, close_maps, &tables);
-  BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
-  tables.boundary_states = std::move(ba.states);
-  tables.boundary_copy_depths = std::move(ba.copy_depths);
+  return tables;
+}
+
+Status FinishRuntimeTables(const dtd::DtdAutomaton& aut,
+                           const TableOptions& opts, RuntimeTables* tables) {
+  dtd::MinSerial ms(&aut.dtd());
+  for (DfaState& state : tables->states) {
+    if (state.keywords.empty()) continue;
+    SMPX_RETURN_IF_ERROR(BuildStateMatcher(&state, opts));
+    if (state.keywords.size() == 1) {
+      ++tables->num_bm_states;
+    } else {
+      ++tables->num_cw_states;
+    }
+    if (opts.enable_initial_jumps) {
+      const std::set<int> vocab(state.vocab_tokens.begin(),
+                                state.vocab_tokens.end());
+      state.jump = ComputeStateJump(aut, &ms, state.subset_members, vocab);
+    }
+  }
+  BoundaryAnalysis ba = ComputeBoundaryStates(aut, *tables);
+  tables->boundary_states = std::move(ba.states);
+  tables->boundary_copy_depths = std::move(ba.copy_depths);
+  return Status::Ok();
+}
+
+Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
+                                  const Selection& sel,
+                                  const SubgraphAutomaton& sub,
+                                  const TableOptions& opts) {
+  SMPX_ASSIGN_OR_RETURN(RuntimeTables tables, BuildTableStates(aut, sel, sub));
+  SMPX_RETURN_IF_ERROR(FinishRuntimeTables(aut, opts, &tables));
   return tables;
 }
 

@@ -13,7 +13,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,10 +21,6 @@
 #include "core/selection.h"
 #include "dtd/dtd_automaton.h"
 #include "strmatch/matcher.h"
-
-namespace smpx::dtd {
-class MinSerial;
-}  // namespace smpx::dtd
 
 namespace smpx::core {
 
@@ -236,18 +231,31 @@ struct TableOptions {
   bool disable_matcher_skip_loops = false;
 };
 
-/// Determinizes the subgraph automaton and builds all tables.
+/// Determinizes the subgraph automaton into tables that carry every state's
+/// action, vocabulary, transitions and analysis sets (subset_members,
+/// vocab_tokens), but none of the runtime search structures. This is all a
+/// multi-query component needs: the product reads it and builds its own.
+Result<RuntimeTables> BuildTableStates(const dtd::DtdAutomaton& aut,
+                                       const Selection& sel,
+                                       const SubgraphAutomaton& sub);
+
+/// The runtime finishing step over tables whose states, vocabularies,
+/// analysis sets and transitions are in place: each non-empty vocabulary's
+/// matcher (opts.algorithm when it can handle the keyword count, else the
+/// paper's kAuto policy: BM for one keyword, CW otherwise) and the BM/CW
+/// state counts, each state's initial jump (when opts.enable_initial_jumps;
+/// over a product state's merged analysis sets, a sound bound), and the
+/// boundary-state analysis. Run by single-query and multi-query product
+/// builds.
+Status FinishRuntimeTables(const dtd::DtdAutomaton& aut,
+                           const TableOptions& opts, RuntimeTables* tables);
+
+/// Determinizes the subgraph automaton and builds all tables
+/// (BuildTableStates, then FinishRuntimeTables).
 Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
                                   const Selection& sel,
                                   const SubgraphAutomaton& sub,
                                   const TableOptions& opts = {});
-
-/// Sets state->matcher to the search structure over state->keywords
-/// (non-empty): opts.algorithm when it can handle the keyword count, the
-/// paper's kAuto policy (BM for one keyword, CW otherwise) when not, with
-/// the candidate skip loops off under opts.disable_matcher_skip_loops.
-/// Shared by the single-query and multi-query table builders.
-Status BuildStateMatcher(DfaState* state, const TableOptions& opts);
 
 /// Build-time transition map of one state: tag name -> successor state.
 using TransitionMap = std::map<std::string, int, std::less<>>;
@@ -259,25 +267,6 @@ using TransitionMap = std::map<std::string, int, std::less<>>;
 void InternTransitions(const std::vector<TransitionMap>& open,
                        const std::vector<TransitionMap>& close,
                        RuntimeTables* tables);
-
-/// J-computation for one runtime state: the minimum, over all DTD-valid
-/// documents and all member NFA states, of the characters between the
-/// cursor and the first possible keyword occurrence. Public so the
-/// multi-query product compiler can recompute sound jumps for merged
-/// states (union of members, union of vocabularies).
-uint64_t ComputeStateJump(const dtd::DtdAutomaton& aut, dtd::MinSerial* ms,
-                          const std::vector<int>& members,
-                          const std::set<int>& vocab_tokens);
-
-/// Static boundary-state analysis over arbitrary runtime tables (see
-/// RuntimeTables::boundary_states / boundary_copy_depths). Public so the
-/// multi-query product compiler can run it over the merged DFA.
-struct BoundaryAnalysis {
-  std::vector<int> states;       ///< candidate DFA states, one per pair
-  std::vector<int> copy_depths;  ///< active copy regions at that boundary
-};
-BoundaryAnalysis ComputeBoundaryStates(const dtd::DtdAutomaton& aut,
-                                       const RuntimeTables& tables);
 
 }  // namespace smpx::core
 

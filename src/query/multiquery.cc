@@ -149,10 +149,9 @@ void MinimizeComponent(RuntimeTables* t) {
   for (int c = 0; c < num_classes; ++c) {
     DfaState st = std::move(t->states[static_cast<size_t>(rep[static_cast<size_t>(c)])]);
     // Merged analysis sets: the members feed the product's jump
-    // recomputation, where a superset (and the min jump) is conservative.
+    // computation, where a superset is conservative.
     std::set<int> members(st.subset_members.begin(), st.subset_members.end());
     std::set<int> vocab(st.vocab_tokens.begin(), st.vocab_tokens.end());
-    uint64_t jump = st.jump;
     for (size_t q = 0; q < n; ++q) {
       if (cls[q] != c || static_cast<int>(q) == rep[static_cast<size_t>(c)]) {
         continue;
@@ -160,11 +159,9 @@ void MinimizeComponent(RuntimeTables* t) {
       const DfaState& o = t->states[q];
       members.insert(o.subset_members.begin(), o.subset_members.end());
       vocab.insert(o.vocab_tokens.begin(), o.vocab_tokens.end());
-      jump = std::min(jump, o.jump);
     }
     st.subset_members.assign(members.begin(), members.end());
     st.vocab_tokens.assign(vocab.begin(), vocab.end());
-    st.jump = jump;
     for (int32_t& v : st.open_next_id) {
       if (v >= 0) v = cls[static_cast<size_t>(v)];
     }
@@ -343,8 +340,10 @@ Result<MultiQuery> MultiQuery::Compile(
     paths::RelevanceAnalyzer analyzer(std::move(paths), alphabet);
     core::Selection sel = core::SelectStates(aut, analyzer);
     core::SubgraphAutomaton sub = core::BuildSubgraph(aut, sel);
+    // States only: the product builds its own matchers, jumps and
+    // boundary analysis, so a component never needs them.
     SMPX_ASSIGN_OR_RETURN(RuntimeTables component,
-                          core::BuildTables(aut, sel, sub, opts.compile.tables));
+                          core::BuildTableStates(aut, sel, sub));
     for (const DfaState& st : component.states) {
       if (st.count_nesting) {
         return Status::Unsupported(
@@ -634,7 +633,6 @@ Result<MultiQuery> MultiQuery::Compile(
     tables.collapsed_pairs += c.collapsed_pairs;
   }
 
-  dtd::MinSerial ms(&aut.dtd());
   for (size_t q = 0; q < product.size(); ++q) {
     const BuildState& bs = product[q];
     DfaState& st = tables.states[q];
@@ -664,22 +662,16 @@ Result<MultiQuery> MultiQuery::Compile(
     for (const std::string& k : st.keywords) {
       st.max_keyword = std::max(st.max_keyword, k.size());
     }
-    if (!st.keywords.empty()) {
-      SMPX_RETURN_IF_ERROR(core::BuildStateMatcher(&st, opts.compile.tables));
-      if (st.keywords.size() == 1) {
-        ++tables.num_bm_states;
-      } else {
-        ++tables.num_cw_states;
-      }
-    } else if (!st.is_final) {
+    if (st.keywords.empty() && !st.is_final) {
       return Status::Internal("non-final product state " + std::to_string(q) +
                               " has an empty frontier vocabulary");
     }
 
-    // Sound initial jump: recomputed over the UNION of the non-frozen
-    // components' subset members and vocabularies. Taking the min of the
-    // component jumps would be unsound -- an idle component entered its
-    // state at an earlier cursor, so its own jump window is already spent.
+    // Analysis sets for the sound initial jump (FinishRuntimeTables): the
+    // UNION of the non-frozen components' subset members and vocabularies.
+    // A min of per-component jumps would be unsound -- an idle component
+    // entered its state at an earlier cursor, so its own jump window is
+    // already spent.
     std::set<int> members;
     std::set<int> vocab;
     for (int u = 0; u < num_unique; ++u) {
@@ -692,9 +684,6 @@ Result<MultiQuery> MultiQuery::Compile(
     }
     st.subset_members.assign(members.begin(), members.end());
     st.vocab_tokens.assign(vocab.begin(), vocab.end());
-    if (opts.compile.tables.enable_initial_jumps && !st.keywords.empty()) {
-      st.jump = core::ComputeStateJump(aut, &ms, st.subset_members, vocab);
-    }
   }
 
   // Flat id-indexed transitions over the product transition names.
@@ -705,9 +694,8 @@ Result<MultiQuery> MultiQuery::Compile(
     close_to[q] = std::move(product[q].close_to);
   }
   core::InternTransitions(open_to, close_to, &tables);
-  core::BoundaryAnalysis ba = core::ComputeBoundaryStates(aut, tables);
-  tables.boundary_states = std::move(ba.states);
-  tables.boundary_copy_depths = std::move(ba.copy_depths);
+  SMPX_RETURN_IF_ERROR(
+      core::FinishRuntimeTables(aut, opts.compile.tables, &tables));
 
   // Flatten the per-state masks into the MultiQueryInfo.
   auto info = std::make_shared<MultiQueryInfo>();

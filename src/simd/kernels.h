@@ -1,10 +1,13 @@
-// Internal: per-tier kernel table accessors for the dispatcher. Each tier
-// lives in its own translation unit so CMake can compile it with the
-// matching -m<isa> flags; tiers that do not exist for the host architecture
-// are simply not compiled (and not declared here).
+// Internal: per-tier kernel table accessors for the dispatcher, and the span
+// loop every tier wraps around its block ops. Each tier lives in its own
+// translation unit so CMake can compile it with the matching -m<isa> flags;
+// tiers that do not exist for the host architecture are simply not compiled
+// (and not declared here).
 
 #ifndef SMPX_SIMD_KERNELS_H_
 #define SMPX_SIMD_KERNELS_H_
+
+#include <cstring>
 
 #include "simd/simd.h"
 
@@ -24,6 +27,32 @@ const Kernels& Avx2Kernels();
 #define SMPX_SIMD_NEON 1
 const Kernels& NeonKernels();
 #endif
+
+/// The block loop of one span scan. `op(lo, hi)` is the tier's inline block
+/// op: the bitmap of the 64 candidates at lo[0..64), with hi pointing
+/// `delta` bytes further on (the second probe of the pair/lead kernels).
+/// The last partial block is staged through zeroed locals and its bits at
+/// and past `limit` cleared, so nothing at or past limit + delta is read.
+template <typename BlockOp>
+inline SpanHit SpanLoop(const unsigned char* p, size_t start, size_t limit,
+                        size_t delta, const BlockOp& op) {
+  if (start >= limit) return {limit, 0};
+  size_t b = start;
+  for (; limit - b >= kBlock; b += kBlock) {
+    const uint64_t m = op(p + b, p + b + delta);
+    if (m != 0) return {b, m};
+  }
+  if (b < limit) {
+    const size_t len = limit - b;
+    alignas(64) unsigned char lo[kBlock] = {0};
+    alignas(64) unsigned char hi[kBlock] = {0};
+    std::memcpy(lo, p + b, len);
+    if (delta != 0) std::memcpy(hi, p + b + delta, len);
+    const uint64_t m = op(lo, delta != 0 ? hi : lo) & TakeMask(len);
+    if (m != 0) return {b, m};
+  }
+  return {limit, 0};
+}
 
 }  // namespace smpx::simd::detail
 

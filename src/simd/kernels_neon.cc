@@ -20,44 +20,92 @@ inline uint64_t MoveMask16Neon(uint8x16_t eq) {
          (static_cast<uint64_t>(vaddv_u8(vget_high_u8(bits))) << 8);
 }
 
-uint64_t Eq64Neon(const unsigned char* p, unsigned char c) {
-  const uint8x16_t needle = vdupq_n_u8(c);
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    uint8x16_t block = vld1q_u8(p + 16 * v);
-    mask |= MoveMask16Neon(vceqq_u8(block, needle)) << (16 * v);
+/// The needles of a ByteSet, broadcast once per span.
+struct SetNeedlesNeon {
+  explicit SetNeedlesNeon(const ByteSet& set) : n(set.n) {
+    for (unsigned j = 0; j < n; ++j) v[j] = vdupq_n_u8(set.chars[j]);
   }
-  return mask;
-}
-
-uint64_t Any64Neon(const unsigned char* p, const ByteSet& set) {
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    uint8x16_t block = vld1q_u8(p + 16 * v);
+  uint8x16_t Match(uint8x16_t block) const {
     uint8x16_t hits = vdupq_n_u8(0);
-    for (unsigned j = 0; j < set.n; ++j) {
-      hits = vorrq_u8(hits, vceqq_u8(block, vdupq_n_u8(set.chars[j])));
+    for (unsigned j = 0; j < n; ++j) {
+      hits = vorrq_u8(hits, vceqq_u8(block, v[j]));
     }
-    mask |= MoveMask16Neon(hits) << (16 * v);
+    return hits;
+  }
+  uint8x16_t v[8];
+  unsigned n;
+};
+
+/// One 64-bit block bitmap from four 16-byte vector ops: vec_op(lo, hi)
+/// returns the compare result of the 16 candidates at lo (hi = lo + delta).
+template <typename VecOp>
+inline uint64_t BlockOfVectors(const unsigned char* lo,
+                               const unsigned char* hi, const VecOp& vec_op) {
+  uint64_t mask = 0;
+  for (size_t v = 0; v < kBlock / 16; ++v) {
+    mask |= MoveMask16Neon(vec_op(lo + 16 * v, hi + 16 * v)) << (16 * v);
   }
   return mask;
 }
 
-uint64_t Pair64Neon(const unsigned char* p, size_t delta, unsigned char a,
-                    unsigned char b) {
+SpanHit EqSpanNeon(const unsigned char* p, size_t start, size_t limit,
+                   unsigned char c) {
+  const uint8x16_t needle = vdupq_n_u8(c);
+  return SpanLoop(
+      p, start, limit, 0,
+      [needle](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [needle](const unsigned char* l,
+                                               const unsigned char*) {
+          return vceqq_u8(vld1q_u8(l), needle);
+        });
+      });
+}
+
+SpanHit AnySpanNeon(const unsigned char* p, size_t start, size_t limit,
+                    const ByteSet& set) {
+  const SetNeedlesNeon needles(set);
+  return SpanLoop(
+      p, start, limit, 0,
+      [&needles](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [&needles](const unsigned char* l,
+                                                 const unsigned char*) {
+          return needles.Match(vld1q_u8(l));
+        });
+      });
+}
+
+SpanHit PairSpanNeon(const unsigned char* p, size_t start, size_t limit,
+                     size_t delta, unsigned char a, unsigned char b) {
   const uint8x16_t na = vdupq_n_u8(a);
   const uint8x16_t nb = vdupq_n_u8(b);
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    uint8x16_t lo = vld1q_u8(p + 16 * v);
-    uint8x16_t hi = vld1q_u8(p + 16 * v + delta);
-    uint8x16_t hits = vandq_u8(vceqq_u8(lo, na), vceqq_u8(hi, nb));
-    mask |= MoveMask16Neon(hits) << (16 * v);
-  }
-  return mask;
+  return SpanLoop(
+      p, start, limit, delta,
+      [na, nb](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [na, nb](const unsigned char* l,
+                                               const unsigned char* h) {
+          return vandq_u8(vceqq_u8(vld1q_u8(l), na),
+                          vceqq_u8(vld1q_u8(h), nb));
+        });
+      });
 }
 
-constexpr Kernels kNeon = {Isa::kNeon, Eq64Neon, Any64Neon, Pair64Neon};
+SpanHit LeadAnySpanNeon(const unsigned char* p, size_t start, size_t limit,
+                        unsigned char lead, size_t d, const ByteSet& set) {
+  const uint8x16_t nl = vdupq_n_u8(lead);
+  const SetNeedlesNeon needles(set);
+  return SpanLoop(
+      p, start, limit, d,
+      [nl, &needles](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [nl, &needles](const unsigned char* l,
+                                                     const unsigned char* h) {
+          return vandq_u8(vceqq_u8(vld1q_u8(l), nl),
+                          needles.Match(vld1q_u8(h)));
+        });
+      });
+}
+
+constexpr Kernels kNeon = {Isa::kNeon, EqSpanNeon, AnySpanNeon, PairSpanNeon,
+                           LeadAnySpanNeon};
 
 }  // namespace
 

@@ -9,38 +9,66 @@
 namespace smpx::simd::detail {
 namespace {
 
-uint64_t Eq64Scalar(const unsigned char* p, unsigned char c) {
-  uint64_t mask = 0;
-  for (size_t i = 0; i < kBlock; ++i) {
-    mask |= static_cast<uint64_t>(p[i] == c) << i;
+bool InSet(unsigned char c, const ByteSet& set) {
+  for (unsigned j = 0; j < set.n; ++j) {
+    if (c == set.chars[j]) return true;
   }
-  return mask;
+  return false;
 }
 
-uint64_t Any64Scalar(const unsigned char* p, const ByteSet& set) {
-  uint64_t mask = 0;
-  for (size_t i = 0; i < kBlock; ++i) {
-    for (unsigned j = 0; j < set.n; ++j) {
-      if (p[i] == set.chars[j]) {
-        mask |= uint64_t{1} << i;
-        break;
-      }
-    }
-  }
-  return mask;
+SpanHit EqSpanScalar(const unsigned char* p, size_t start, size_t limit,
+                     unsigned char c) {
+  return SpanLoop(p, start, limit, 0,
+                  [c](const unsigned char* lo, const unsigned char*) {
+                    uint64_t mask = 0;
+                    for (size_t i = 0; i < kBlock; ++i) {
+                      mask |= static_cast<uint64_t>(lo[i] == c) << i;
+                    }
+                    return mask;
+                  });
 }
 
-uint64_t Pair64Scalar(const unsigned char* p, size_t delta, unsigned char a,
-                      unsigned char b) {
-  uint64_t mask = 0;
-  for (size_t i = 0; i < kBlock; ++i) {
-    mask |= static_cast<uint64_t>(p[i] == a && p[i + delta] == b) << i;
-  }
-  return mask;
+SpanHit AnySpanScalar(const unsigned char* p, size_t start, size_t limit,
+                      const ByteSet& set) {
+  return SpanLoop(p, start, limit, 0,
+                  [&set](const unsigned char* lo, const unsigned char*) {
+                    uint64_t mask = 0;
+                    for (size_t i = 0; i < kBlock; ++i) {
+                      mask |= static_cast<uint64_t>(InSet(lo[i], set)) << i;
+                    }
+                    return mask;
+                  });
 }
 
-constexpr Kernels kScalar = {Isa::kScalar, Eq64Scalar, Any64Scalar,
-                             Pair64Scalar};
+SpanHit PairSpanScalar(const unsigned char* p, size_t start, size_t limit,
+                       size_t delta, unsigned char a, unsigned char b) {
+  return SpanLoop(p, start, limit, delta,
+                  [a, b](const unsigned char* lo, const unsigned char* hi) {
+                    uint64_t mask = 0;
+                    for (size_t i = 0; i < kBlock; ++i) {
+                      mask |= static_cast<uint64_t>(lo[i] == a && hi[i] == b)
+                              << i;
+                    }
+                    return mask;
+                  });
+}
+
+SpanHit LeadAnySpanScalar(const unsigned char* p, size_t start, size_t limit,
+                          unsigned char lead, size_t d, const ByteSet& set) {
+  return SpanLoop(
+      p, start, limit, d,
+      [lead, &set](const unsigned char* lo, const unsigned char* hi) {
+        uint64_t mask = 0;
+        for (size_t i = 0; i < kBlock; ++i) {
+          mask |= static_cast<uint64_t>(lo[i] == lead && InSet(hi[i], set))
+                  << i;
+        }
+        return mask;
+      });
+}
+
+constexpr Kernels kScalar = {Isa::kScalar, EqSpanScalar, AnySpanScalar,
+                             PairSpanScalar, LeadAnySpanScalar};
 
 }  // namespace
 

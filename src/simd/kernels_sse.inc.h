@@ -19,50 +19,98 @@ inline uint64_t MoveMask16(__m128i eq) {
   return static_cast<uint64_t>(static_cast<uint32_t>(_mm_movemask_epi8(eq)));
 }
 
-uint64_t Eq64Sse(const unsigned char* p, unsigned char c) {
-  const __m128i needle = _mm_set1_epi8(static_cast<char>(c));
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    __m128i block = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(p + 16 * v));
-    mask |= MoveMask16(_mm_cmpeq_epi8(block, needle)) << (16 * v);
-  }
-  return mask;
+inline __m128i Load16(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
 }
 
-uint64_t Any64Sse(const unsigned char* p, const ByteSet& set) {
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    __m128i block = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(p + 16 * v));
-    __m128i hits = _mm_setzero_si128();
-    for (unsigned j = 0; j < set.n; ++j) {
-      __m128i needle = _mm_set1_epi8(static_cast<char>(set.chars[j]));
-      hits = _mm_or_si128(hits, _mm_cmpeq_epi8(block, needle));
+/// The needles of a ByteSet, broadcast once per span.
+struct SetNeedlesSse {
+  explicit SetNeedlesSse(const ByteSet& set) : n(set.n) {
+    for (unsigned j = 0; j < n; ++j) {
+      v[j] = _mm_set1_epi8(static_cast<char>(set.chars[j]));
     }
-    mask |= MoveMask16(hits) << (16 * v);
+  }
+  __m128i Match(__m128i block) const {
+    __m128i hits = _mm_setzero_si128();
+    for (unsigned j = 0; j < n; ++j) {
+      hits = _mm_or_si128(hits, _mm_cmpeq_epi8(block, v[j]));
+    }
+    return hits;
+  }
+  __m128i v[8];
+  unsigned n;
+};
+
+/// One 64-bit block bitmap from four 16-byte vector ops: vec_op(lo, hi)
+/// returns the compare result of the 16 candidates at lo (hi = lo + delta).
+template <typename VecOp>
+inline uint64_t BlockOfVectors(const unsigned char* lo,
+                               const unsigned char* hi, const VecOp& vec_op) {
+  uint64_t mask = 0;
+  for (size_t v = 0; v < kBlock / 16; ++v) {
+    mask |= MoveMask16(vec_op(lo + 16 * v, hi + 16 * v)) << (16 * v);
   }
   return mask;
 }
 
-uint64_t Pair64Sse(const unsigned char* p, size_t delta, unsigned char a,
-                   unsigned char b) {
+SpanHit EqSpanSse(const unsigned char* p, size_t start, size_t limit,
+                  unsigned char c) {
+  const __m128i needle = _mm_set1_epi8(static_cast<char>(c));
+  return SpanLoop(
+      p, start, limit, 0,
+      [needle](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [needle](const unsigned char* l,
+                                               const unsigned char*) {
+          return _mm_cmpeq_epi8(Load16(l), needle);
+        });
+      });
+}
+
+SpanHit AnySpanSse(const unsigned char* p, size_t start, size_t limit,
+                   const ByteSet& set) {
+  const SetNeedlesSse needles(set);
+  return SpanLoop(
+      p, start, limit, 0,
+      [&needles](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [&needles](const unsigned char* l,
+                                                 const unsigned char*) {
+          return needles.Match(Load16(l));
+        });
+      });
+}
+
+SpanHit PairSpanSse(const unsigned char* p, size_t start, size_t limit,
+                    size_t delta, unsigned char a, unsigned char b) {
   const __m128i na = _mm_set1_epi8(static_cast<char>(a));
   const __m128i nb = _mm_set1_epi8(static_cast<char>(b));
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    __m128i lo = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(p + 16 * v));
-    __m128i hi = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(p + 16 * v + delta));
-    __m128i hits =
-        _mm_and_si128(_mm_cmpeq_epi8(lo, na), _mm_cmpeq_epi8(hi, nb));
-    mask |= MoveMask16(hits) << (16 * v);
-  }
-  return mask;
+  return SpanLoop(
+      p, start, limit, delta,
+      [na, nb](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [na, nb](const unsigned char* l,
+                                               const unsigned char* h) {
+          return _mm_and_si128(_mm_cmpeq_epi8(Load16(l), na),
+                               _mm_cmpeq_epi8(Load16(h), nb));
+        });
+      });
 }
 
-constexpr Kernels kSseTable = {SMPX_SSE_ISA, Eq64Sse, Any64Sse, Pair64Sse};
+SpanHit LeadAnySpanSse(const unsigned char* p, size_t start, size_t limit,
+                       unsigned char lead, size_t d, const ByteSet& set) {
+  const __m128i nl = _mm_set1_epi8(static_cast<char>(lead));
+  const SetNeedlesSse needles(set);
+  return SpanLoop(
+      p, start, limit, d,
+      [nl, &needles](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfVectors(lo, hi, [nl, &needles](const unsigned char* l,
+                                                     const unsigned char* h) {
+          return _mm_and_si128(_mm_cmpeq_epi8(Load16(l), nl),
+                               needles.Match(Load16(h)));
+        });
+      });
+}
+
+constexpr Kernels kSseTable = {SMPX_SSE_ISA, EqSpanSse, AnySpanSse,
+                               PairSpanSse, LeadAnySpanSse};
 
 }  // namespace
 

@@ -46,41 +46,80 @@ inline uint64_t Compact(uint64_t high_mask) {
   return ((high_mask >> 7) * 0x0102040810204080ull) >> 56;
 }
 
-uint64_t Eq64Swar(const unsigned char* p, unsigned char c) {
+/// Bit 7 of each byte of `w` that is a member of `set`.
+inline uint64_t ByteInSetMask(uint64_t w, const ByteSet& set) {
+  uint64_t hits = 0;
+  for (unsigned j = 0; j < set.n; ++j) hits |= ByteEqMask(w, set.chars[j]);
+  return hits;
+}
+
+/// One 64-bit block bitmap from a per-word op: word_op(lo, hi) returns the
+/// 0x80-per-byte hits of the 8 candidates at lo (hi = lo + delta).
+template <typename WordOp>
+inline uint64_t BlockOfWords(const unsigned char* lo, const unsigned char* hi,
+                             const WordOp& word_op) {
   uint64_t mask = 0;
   for (size_t w = 0; w < kBlock / 8; ++w) {
-    uint64_t word = LoadWord(p + 8 * w);
-    mask |= Compact(ByteEqMask(word, c)) << (8 * w);
+    mask |= Compact(word_op(lo + 8 * w, hi + 8 * w)) << (8 * w);
   }
   return mask;
 }
 
-uint64_t Any64Swar(const unsigned char* p, const ByteSet& set) {
-  uint64_t mask = 0;
-  for (size_t w = 0; w < kBlock / 8; ++w) {
-    uint64_t word = LoadWord(p + 8 * w);
-    uint64_t hits = 0;
-    for (unsigned j = 0; j < set.n; ++j) {
-      hits |= ByteEqMask(word, set.chars[j]);
-    }
-    mask |= Compact(hits) << (8 * w);
-  }
-  return mask;
+SpanHit EqSpanSwar(const unsigned char* p, size_t start, size_t limit,
+                   unsigned char c) {
+  return SpanLoop(p, start, limit, 0,
+                  [c](const unsigned char* lo, const unsigned char* hi) {
+                    return BlockOfWords(
+                        lo, hi, [c](const unsigned char* l,
+                                    const unsigned char*) {
+                          return ByteEqMask(LoadWord(l), c);
+                        });
+                  });
 }
 
-uint64_t Pair64Swar(const unsigned char* p, size_t delta, unsigned char a,
-                    unsigned char b) {
-  uint64_t mask = 0;
-  for (size_t w = 0; w < kBlock / 8; ++w) {
-    const unsigned char* base = p + 8 * w;
-    uint64_t hits = ByteEqMask(LoadWord(base), a) &
-                    ByteEqMask(LoadWord(base + delta), b);
-    mask |= Compact(hits) << (8 * w);
-  }
-  return mask;
+SpanHit AnySpanSwar(const unsigned char* p, size_t start, size_t limit,
+                    const ByteSet& set) {
+  return SpanLoop(p, start, limit, 0,
+                  [&set](const unsigned char* lo, const unsigned char* hi) {
+                    return BlockOfWords(
+                        lo, hi, [&set](const unsigned char* l,
+                                       const unsigned char*) {
+                          return ByteInSetMask(LoadWord(l), set);
+                        });
+                  });
 }
 
-constexpr Kernels kSwar = {Isa::kSwar, Eq64Swar, Any64Swar, Pair64Swar};
+SpanHit PairSpanSwar(const unsigned char* p, size_t start, size_t limit,
+                     size_t delta, unsigned char a, unsigned char b) {
+  return SpanLoop(p, start, limit, delta,
+                  [a, b](const unsigned char* lo, const unsigned char* hi) {
+                    return BlockOfWords(
+                        lo, hi, [a, b](const unsigned char* l,
+                                       const unsigned char* h) {
+                          return ByteEqMask(LoadWord(l), a) &
+                                 ByteEqMask(LoadWord(h), b);
+                        });
+                  });
+}
+
+SpanHit LeadAnySpanSwar(const unsigned char* p, size_t start, size_t limit,
+                        unsigned char lead, size_t d, const ByteSet& set) {
+  return SpanLoop(
+      p, start, limit, d,
+      [lead, &set](const unsigned char* lo, const unsigned char* hi) {
+        return BlockOfWords(
+            lo, hi, [lead, &set](const unsigned char* l,
+                                 const unsigned char* h) {
+              const uint64_t lead_hits = ByteEqMask(LoadWord(l), lead);
+              return lead_hits == 0 ? 0
+                                    : lead_hits &
+                                          ByteInSetMask(LoadWord(h), set);
+            });
+      });
+}
+
+constexpr Kernels kSwar = {Isa::kSwar, EqSpanSwar, AnySpanSwar, PairSpanSwar,
+                           LeadAnySpanSwar};
 
 }  // namespace
 

@@ -3,10 +3,14 @@
 // The prefilter's remaining serial ceiling is its byte-scanning loops: the
 // engine's tag/attribute span scans, the sharder's top-level boundary scan,
 // and the BM/CW candidate probes. All of them reduce to the same primitive:
-// "which positions of this input hold one of a handful of structural bytes
-// ('<', '>', quotes, '-', ']', '?')?" This layer answers that question
-// simdjson-style -- 64-bit bitmaps per 64-byte block, one vector pass per
-// block -- through a kernel table selected once at startup:
+// "where is the next position holding one of a handful of structural bytes
+// ('<', '>', quotes, '-', ']', '?'), or a byte pair at a fixed distance?"
+// This layer answers that question simdjson-style -- 64-bit bitmaps per
+// 64-byte block, one vector pass per block -- through a table of span
+// kernels selected once at startup. A span kernel runs the whole block loop
+// of one scan inside the tier: the probe's needles are broadcast and the
+// indirect call is paid once per span, not once per block, and it returns
+// the first block whose candidate bitmap is non-zero. Tiers:
 //
 //   scalar  per-byte reference loops; the oracle every other tier is
 //           differentially verified against (bit-identical by construction)
@@ -23,9 +27,9 @@
 // SetIsa() re-selects in-process for tests and benchmarks.
 //
 // Bitmap convention: bit i (LSB first) of a mask corresponds to byte p[i],
-// so text order equals bit-scan order on every host. Block kernels require
-// all 64 bytes readable; the *Tail helpers below never read past the given
-// length (window edges, page ends).
+// so text order equals bit-scan order on every host. Span kernels never
+// read past the bytes their probe needs (guard-page safe): the last partial
+// block is staged through zeroed locals.
 
 #ifndef SMPX_SIMD_SIMD_H_
 #define SMPX_SIMD_SIMD_H_
@@ -64,18 +68,36 @@ struct ByteSet {
   }
 };
 
-/// One dispatch tier: block-granular classification kernels. All function
+/// Result of a span scan: the first 64-byte block holding a candidate.
+/// Bit i of `mask` is the candidate at p[pos + i]. When the span holds no
+/// candidate, `mask` is 0 and `pos` equals the limit.
+struct SpanHit {
+  size_t pos;
+  uint64_t mask;
+};
+
+/// One dispatch tier: span-granular classification kernels. Each scans the
+/// blocks at start, start + 64, ... over the candidate positions
+/// [start, limit) (requires start <= limit) and returns the first block
+/// whose bitmap is non-zero; bits at and past `limit` are 0. All function
 /// pointers are non-null in every registered tier.
 struct Kernels {
   Isa isa;
-  /// Bit i = (p[i] == c) over the 64-byte block at p.
-  uint64_t (*eq64)(const unsigned char* p, unsigned char c);
-  /// Bit i = (p[i] is a member of set) over the 64-byte block at p.
-  uint64_t (*any64)(const unsigned char* p, const ByteSet& set);
-  /// Bit i = (p[i] == a && p[i + delta] == b). Requires both [p, p+64) and
-  /// [p+delta, p+delta+64) readable.
-  uint64_t (*pair64)(const unsigned char* p, size_t delta, unsigned char a,
-                     unsigned char b);
+  /// Candidates i with p[i] == c; reads [start, limit).
+  SpanHit (*eq_span)(const unsigned char* p, size_t start, size_t limit,
+                     unsigned char c);
+  /// Candidates i with p[i] a member of `set`; reads [start, limit).
+  SpanHit (*any_span)(const unsigned char* p, size_t start, size_t limit,
+                      const ByteSet& set);
+  /// Candidates i with p[i] == a && p[i + delta] == b; reads
+  /// [start, limit + delta).
+  SpanHit (*pair_span)(const unsigned char* p, size_t start, size_t limit,
+                       size_t delta, unsigned char a, unsigned char b);
+  /// Candidates i with p[i] == lead && p[i + d] a member of `set`; reads
+  /// [start, limit + d).
+  SpanHit (*lead_any_span)(const unsigned char* p, size_t start,
+                           size_t limit, unsigned char lead, size_t d,
+                           const ByteSet& set);
 };
 
 namespace detail {
@@ -84,9 +106,7 @@ extern std::atomic<const Kernels*> g_active;
 const Kernels& Init();
 }  // namespace detail
 
-/// The active kernel tier. Cheap enough for per-span use; hot loops should
-/// still hoist it (`const Kernels& k = simd::Active();`) out of per-block
-/// iterations.
+/// The active kernel tier. Cheap enough for per-span use.
 inline const Kernels& Active() {
   const Kernels* k = detail::g_active.load(std::memory_order_relaxed);
   return k != nullptr ? *k : detail::Init();
@@ -129,27 +149,18 @@ inline uint64_t TakeMask(size_t take) {
   return take >= 64 ? ~uint64_t{0} : ((uint64_t{1} << take) - 1);
 }
 
-// --- masked tails (window edges) ---------------------------------------------
-// The block kernels require 64 readable bytes; at a span or page end the
-// remaining bytes are staged through a zeroed local block first, so no tier
-// ever reads past `len` (guard-page safe). Bits at and above `len` are 0.
+// --- one-block bitmaps ------------------------------------------------------
+// The bitmap of the first min(len, 64) positions at p: a span scan bounded
+// to one block, so no tier reads past `len` (window edges, page ends).
 
 inline uint64_t EqMaskTail(const unsigned char* p, size_t len,
                            unsigned char c) {
-  if (len >= kBlock) return Active().eq64(p, c);
-  if (len == 0) return 0;
-  alignas(64) unsigned char buf[kBlock] = {0};
-  std::memcpy(buf, p, len);
-  return Active().eq64(buf, c) & TakeMask(len);
+  return Active().eq_span(p, 0, len < kBlock ? len : kBlock, c).mask;
 }
 
 inline uint64_t AnyMaskTail(const unsigned char* p, size_t len,
                             const ByteSet& set) {
-  if (len >= kBlock) return Active().any64(p, set);
-  if (len == 0) return 0;
-  alignas(64) unsigned char buf[kBlock] = {0};
-  std::memcpy(buf, p, len);
-  return Active().any64(buf, set) & TakeMask(len);
+  return Active().any_span(p, 0, len < kBlock ? len : kBlock, set).mask;
 }
 
 /// Bitmap over alignments i of (p[i] == a && p[i+delta] == b), for
@@ -158,46 +169,27 @@ inline uint64_t PairMaskTail(const unsigned char* p, size_t avail,
                              size_t delta, unsigned char a, unsigned char b) {
   if (avail <= delta) return 0;
   const size_t n_align = avail - delta < kBlock ? avail - delta : kBlock;
-  return EqMaskTail(p, avail < kBlock ? avail : kBlock, a) &
-         EqMaskTail(p + delta, n_align, b) & TakeMask(n_align);
+  return Active().pair_span(p, 0, n_align, delta, a, b).mask;
 }
 
 // --- span scans --------------------------------------------------------------
 
 /// First index in [0, n) with data[i] == c; n when absent.
 inline size_t FindByte(const char* data, size_t n, unsigned char c) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
-  const Kernels& k = Active();
-  size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    uint64_t m = k.eq64(p + i, c);
-    if (m != 0) return i + NextSetBit(m);
-  }
-  if (i < n) {
-    uint64_t m = EqMaskTail(p + i, n - i, c);
-    if (m != 0) return i + NextSetBit(m);
-  }
-  return n;
+  const SpanHit h =
+      Active().eq_span(reinterpret_cast<const unsigned char*>(data), 0, n, c);
+  return h.mask != 0 ? h.pos + NextSetBit(h.mask) : n;
 }
 
 /// First index in [0, n) whose byte is a member of `set`; n when absent.
 inline size_t FindAny(const char* data, size_t n, const ByteSet& set) {
-  const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
-  const Kernels& k = Active();
-  size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    uint64_t m = k.any64(p + i, set);
-    if (m != 0) return i + NextSetBit(m);
-  }
-  if (i < n) {
-    uint64_t m = AnyMaskTail(p + i, n - i, set);
-    if (m != 0) return i + NextSetBit(m);
-  }
-  return n;
+  const SpanHit h = Active().any_span(
+      reinterpret_cast<const unsigned char*>(data), 0, n, set);
+  return h.mask != 0 ? h.pos + NextSetBit(h.mask) : n;
 }
 
 /// First start position of `term` in [0, n); n when absent. Candidates are
-/// alignments where the first AND last term byte match (shifted-mask AND);
+/// alignments where the first AND last term byte match (the pair scan);
 /// longer terms verify the middle bytes per candidate.
 inline size_t FindPattern(const char* data, size_t n, std::string_view term) {
   const size_t tn = term.size();
@@ -210,78 +202,58 @@ inline size_t FindPattern(const char* data, size_t n, std::string_view term) {
   const unsigned char* tmid =
       reinterpret_cast<const unsigned char*>(term.data()) + 1;
   const size_t mid_len = tn > 2 ? tn - 2 : 0;
-  size_t i = 0;
-  for (;;) {
-    uint64_t hits;
-    if (i + kBlock + tn - 1 <= n) {
-      hits = k.pair64(p + i, tn - 1, t0, tl);
-    } else if (i < n_align) {
-      hits = PairMaskTail(p + i, n - i, tn - 1, t0, tl);
-    } else {
-      break;
-    }
-    const unsigned char* block = p + i + 1;  // candidate middles, this block
-    while (hits != 0) {
-      const unsigned bit = NextSetBit(hits);
-      hits = ClearLowestBit(hits);
-      if (mid_len == 0 || std::memcmp(block + bit, tmid, mid_len) == 0) {
-        return i + bit;
+  for (size_t i = 0; i < n_align;) {
+    const SpanHit h = k.pair_span(p, i, n_align, tn - 1, t0, tl);
+    for (uint64_t hits = h.mask; hits != 0; hits = ClearLowestBit(hits)) {
+      const size_t at = h.pos + NextSetBit(hits);
+      if (mid_len == 0 || std::memcmp(p + at + 1, tmid, mid_len) == 0) {
+        return at;
       }
     }
-    i += kBlock;
-    if (i >= n_align) break;
+    if (h.mask == 0) break;
+    i = h.pos + kBlock;
   }
   return n;
 }
 
 /// Bitmap-driven byte iterator: serves "next occurrence of c at or after
-/// pos" queries over a fixed buffer, computing each 64-byte block's bitmap
-/// once and bit-scanning within it. In tag-dense XML ('<' every ~15 bytes)
-/// this amortizes to one classification per block instead of one
-/// memchr/scan call per structural byte.
+/// pos" queries over a fixed buffer, keeping the bitmap of the last block a
+/// span scan returned and bit-scanning within it. In tag-dense XML ('<'
+/// every ~15 bytes) this amortizes to one classification per block instead
+/// of one scan call per structural byte.
 class MaskScanner {
  public:
   MaskScanner(const char* data, size_t n, unsigned char c)
       : p_(reinterpret_cast<const unsigned char*>(data)),
         n_(n),
         c_(c),
-        kernels_(Active()) {}
+        kernels_(Active()),
+        base_(n) {}
 
   /// First index >= from with data[i] == c_; n when absent.
   size_t Next(size_t from) {
     if (from >= n_) return n_;
-    size_t base = from & ~(kBlock - 1);
-    uint64_t m;
-    if (base == base_ && have_block_) {
-      m = mask_;
-    } else {
-      m = Load(base);
+    size_t scan_from = from;
+    // Inside the cached block? (from < base_ wraps to a huge difference.)
+    if (from - base_ < kBlock) {
+      const uint64_t m = mask_ & ~TakeMask(from - base_);
+      if (m != 0) return base_ + NextSetBit(m);
+      scan_from = base_ + kBlock;  // nothing left in the cached block
+      if (scan_from >= n_) return n_;
     }
-    m &= ~TakeMask(from - base);
-    while (m == 0) {
-      base += kBlock;
-      if (base >= n_) return n_;
-      m = Load(base);
-    }
-    return base + NextSetBit(m);
+    const SpanHit h = kernels_.eq_span(p_, scan_from, n_, c_);
+    base_ = h.pos;
+    mask_ = h.mask;
+    return h.mask != 0 ? h.pos + NextSetBit(h.mask) : n_;
   }
 
  private:
-  uint64_t Load(size_t base) {
-    base_ = base;
-    have_block_ = true;
-    mask_ = n_ - base >= kBlock ? kernels_.eq64(p_ + base, c_)
-                                : EqMaskTail(p_ + base, n_ - base, c_);
-    return mask_;
-  }
-
   const unsigned char* p_;
   size_t n_;
   unsigned char c_;
   const Kernels& kernels_;
-  size_t base_ = 0;
+  size_t base_;  // start of the cached block (n_ before the first scan)
   uint64_t mask_ = 0;
-  bool have_block_ = false;
 };
 
 }  // namespace smpx::simd

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "simd/simd.h"
+#include "strmatch/word_compare.h"
 
 namespace smpx::strmatch {
 namespace {
@@ -200,35 +200,31 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
   const std::string& p = patterns_[0];
   const size_t m = p.size();
   const size_t n = text.size();
-  const char* d = text.data();
-  const unsigned char* ud = reinterpret_cast<const unsigned char*>(d);
+  const unsigned char* ud = reinterpret_cast<const unsigned char*>(text.data());
+  const unsigned char* up = reinterpret_cast<const unsigned char*>(p.data());
 
   // Skip loop: no occurrence can align unless its probe byte (the rarest
   // pattern byte, '<' for tag keywords) matches, so only probe-byte hits
-  // become candidate alignments. The hits are popped block-at-a-time from
-  // the dispatched bitmaps (simd/simd.h), in ascending text order under
+  // become candidate alignments. Each span scan (simd/simd.h) returns the
+  // next block holding hits, whose bits pop in ascending text order under
   // every tier, so matches AND stats are tier-independent. Candidates below
   // the BM-shift frontier `i` are dropped without a verify.
-  const size_t kp = probe_pos_;
   size_t i = from;  // minimal admissible alignment (the shift frontier)
 
-  // Right-to-left verify at alignment `a`; advances `i` past `a` via the
-  // classical bad-character/good-suffix shift on mismatch.
+  // Verify at alignment `a`: the rightmost mismatching byte, found by word
+  // compares, is the byte the classical right-to-left loop stops at, so
+  // the shift and the counts (m - index compares, m on a match) are the
+  // classical ones. Advances `i` past `a` on a mismatch.
   auto verify = [&](size_t a) -> bool {
     if (stats != nullptr && a > i) {
       ++stats->shifts;
       stats->shift_chars += a - i;
     }
     i = a;
-    size_t j = m;  // compare right to left; j is 1 + index to compare
-    while (j > 0) {
-      if (stats != nullptr) ++stats->comparisons;
-      if (d[a + j - 1] != p[j - 1]) break;
-      --j;
-    }
-    if (j == 0) return true;
-    const size_t jm1 = j - 1;
-    int bc = bad_char_[static_cast<unsigned char>(d[a + jm1])];
+    const size_t jm1 = detail::LastMismatch(ud + a, up, m);
+    if (stats != nullptr) stats->comparisons += jm1 == m ? m : m - jm1;
+    if (jm1 == m) return true;
+    int bc = bad_char_[ud[a + jm1]];
     ptrdiff_t bad_shift = static_cast<ptrdiff_t>(jm1) - bc;
     size_t shift = std::max<ptrdiff_t>(
         static_cast<ptrdiff_t>(good_suffix_[jm1]), bad_shift);
@@ -241,39 +237,33 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
     return false;
   };
 
-  // Probe positions s in [from + lo, n - m + lo]; alignment a = s - lo.
+  // Probe positions k in [from + lo, n - m + lo]; alignment a = k - lo.
   // The pair probe (tag keywords, other long patterns) keeps a candidate
   // only when BOTH probe bytes match, which multiplies the two densities.
-  // Its full-block loads stay in bounds: k + 64 <= scan_end implies
-  // k + delta + 64 <= n - m + hi + 1 <= n.
-  const size_t lo = pair_probe_ ? std::min(kp, probe2_pos_) : kp;
-  const size_t hi = pair_probe_ ? std::max(kp, probe2_pos_) : kp;
-  const unsigned char b_lo = static_cast<unsigned char>(p[lo]);
-  const unsigned char b_hi = static_cast<unsigned char>(p[hi]);
+  // Its second probe reads up to scan_end + delta = n - m + hi + 1 <= n.
+  const size_t lo = pair_probe_ ? std::min(probe_pos_, probe2_pos_)
+                                : probe_pos_;
+  const size_t hi = pair_probe_ ? std::max(probe_pos_, probe2_pos_)
+                                : probe_pos_;
+  const unsigned char b_lo = up[lo];
+  const unsigned char b_hi = up[hi];
   const size_t delta = hi - lo;
   const size_t scan_end = n - m + lo + 1;
   const simd::Kernels& kn = simd::Active();
-  size_t k = from + lo;
-  while (k < scan_end) {
-    size_t take = scan_end - k;
-    uint64_t hits;
-    if (take >= simd::kBlock) {
-      take = simd::kBlock;
-      hits = pair_probe_ ? kn.pair64(ud + k, delta, b_lo, b_hi)
-                         : kn.eq64(ud + k, b_lo);
-    } else if (pair_probe_) {
-      hits = simd::PairMaskTail(ud + k, n - k, delta, b_lo, b_hi) &
-             simd::TakeMask(take);
-    } else {
-      hits = simd::EqMaskTail(ud + k, take, b_lo);
-    }
-    while (hits != 0) {
-      size_t a = k + simd::NextSetBit(hits) - lo;
-      hits = simd::ClearLowestBit(hits);
+  for (size_t k = from + lo; k < scan_end;) {
+    const simd::SpanHit h =
+        pair_probe_ ? kn.pair_span(ud, k, scan_end, delta, b_lo, b_hi)
+                    : kn.eq_span(ud, k, scan_end, b_lo);
+    if (h.mask == 0) break;
+    for (uint64_t hits = h.mask; hits != 0;
+         hits = simd::ClearLowestBit(hits)) {
+      const size_t a = h.pos + simd::NextSetBit(hits) - lo;
       if (a < i) continue;  // below the shift frontier
       if (verify(a)) return {a, 0};
     }
-    k += take;
+    // Resume past this block, or past the shift frontier when it is
+    // further on (every hit below it would be dropped anyway).
+    k = std::max(h.pos + simd::kBlock, i + lo);
   }
   if (stats != nullptr && n - m + 1 > i) {
     ++stats->shifts;

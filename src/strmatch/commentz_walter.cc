@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "simd/simd.h"
+#include "strmatch/word_compare.h"
 
 namespace smpx::strmatch {
 
@@ -71,6 +72,110 @@ std::vector<int> ComputeFailureLinks(const ReverseTrie& trie) {
 }
 
 }  // namespace
+
+AnchoredTrie::AnchoredTrie(const std::vector<std::string>& patterns) {
+  // Sorted by word, then index, with duplicates collapsed onto the earliest
+  // index: a range of keys sharing a prefix is then contiguous, and a key
+  // equal to the range's common prefix sorts first.
+  std::vector<Key> keys;
+  keys.reserve(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    keys.push_back({patterns[i], static_cast<int32_t>(i)});
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    return a.word != b.word ? a.word < b.word : a.index < b.index;
+  });
+  keys.erase(std::unique(keys.begin(), keys.end(),
+                         [](const Key& a, const Key& b) {
+                           return a.word == b.word;
+                         }),
+             keys.end());
+  nodes_.emplace_back();
+  first_.push_back(static_cast<unsigned char>(keys[0].word[0]));
+  Build(0, keys, 0, keys.size(), 0);
+}
+
+void AnchoredTrie::Build(uint32_t v, const std::vector<Key>& keys, size_t lo,
+                         size_t hi, size_t depth) {
+  // keys[lo, hi) share their first `depth` bytes; being sorted, they share
+  // as many bytes as their first and last key do.
+  const std::string_view first = keys[lo].word;
+  const std::string_view last = keys[hi - 1].word;
+  size_t common = depth;
+  while (common < first.size() && common < last.size() &&
+         first[common] == last[common]) {
+    ++common;
+  }
+  nodes_[v].label = static_cast<uint32_t>(labels_.size());
+  nodes_[v].label_len = static_cast<uint32_t>(common - depth);
+  labels_.append(first.substr(depth, common - depth));
+  if (first.size() == common) {
+    nodes_[v].pattern = keys[lo].index;  // longer keys here are unreachable
+    return;
+  }
+  // One child per distinct byte at `common`, allocated side by side.
+  std::vector<size_t> group_starts;
+  for (size_t k = lo; k < hi; ++k) {
+    if (k == lo || keys[k].word[common] != keys[k - 1].word[common]) {
+      group_starts.push_back(k);
+    }
+  }
+  group_starts.push_back(hi);
+  const uint32_t first_child = static_cast<uint32_t>(nodes_.size());
+  const size_t groups = group_starts.size() - 1;
+  nodes_[v].first_child = first_child;
+  nodes_[v].num_children = static_cast<uint32_t>(groups);
+  nodes_.resize(nodes_.size() + groups);
+  for (size_t g = 0; g < groups; ++g) {
+    first_.push_back(
+        static_cast<unsigned char>(keys[group_starts[g]].word[common]));
+  }
+  for (size_t g = 0; g < groups; ++g) {
+    Build(first_child + static_cast<uint32_t>(g), keys, group_starts[g],
+          group_starts[g + 1], common);
+  }
+}
+
+int AnchoredTrie::Match(const unsigned char* text, size_t n, size_t s,
+                        size_t* inspected) const {
+  const unsigned char* t = text + s;
+  const size_t left = n - s;
+  const unsigned char* labels =
+      reinterpret_cast<const unsigned char*>(labels_.data());
+  size_t depth = 0;  // bytes of t matched so far
+  uint32_t v = 0;
+  for (;;) {
+    const Node& node = nodes_[v];
+    const size_t len = std::min<size_t>(node.label_len, left - depth);
+    const size_t mm = FirstMismatch(t + depth, labels + node.label, len);
+    if (mm < len) {
+      *inspected = depth + mm + 1;
+      return -1;
+    }
+    if (len < node.label_len) {  // the text ends inside the label
+      *inspected = left;
+      return -1;
+    }
+    depth += len;
+    if (node.pattern >= 0) {
+      *inspected = depth;
+      return node.pattern;
+    }
+    if (depth == left) {
+      *inspected = left;
+      return -1;
+    }
+    const unsigned char c = t[depth];
+    const uint32_t end = node.first_child + node.num_children;
+    v = node.first_child;
+    while (v < end && first_[v] != c) ++v;
+    if (v == end) {
+      *inspected = depth + 1;
+      return -1;
+    }
+  }
+}
+
 }  // namespace detail
 
 CommentzWalterMatcher::CommentzWalterMatcher(
@@ -128,29 +233,7 @@ CommentzWalterMatcher::CommentzWalterMatcher(
     }
   }
   if (fast_path_) {
-    // Forward trie over the patterns (lead byte included as the root
-    // edge). Earlier pattern indices win on duplicates, matching the
-    // naive oracle's tie-breaking.
-    fwd_.emplace_back();
-    for (size_t pi = 0; pi < patterns_.size(); ++pi) {
-      int32_t node = 0;
-      for (char c : patterns_[pi]) {
-        // By value, not by reference: emplace_back below may reallocate
-        // fwd_ and a reference into it would dangle.
-        int32_t slot = fwd_[static_cast<size_t>(node)]
-                           .next[static_cast<unsigned char>(c)];
-        if (slot < 0) {
-          slot = static_cast<int32_t>(fwd_.size());
-          fwd_[static_cast<size_t>(node)]
-              .next[static_cast<unsigned char>(c)] = slot;
-          fwd_.emplace_back();
-        }
-        node = slot;
-      }
-      if (fwd_[static_cast<size_t>(node)].pattern < 0) {
-        fwd_[static_cast<size_t>(node)].pattern = static_cast<int32_t>(pi);
-      }
-    }
+    anchored_.emplace(patterns_);
     // Candidate filter offset (see header).
     size_t best = sizeof(filter_set_.chars) + 1;
     for (size_t d = 1; d < wmin; ++d) {
@@ -174,65 +257,45 @@ CommentzWalterMatcher::CommentzWalterMatcher(
 Match CommentzWalterMatcher::SearchFast(std::string_view text, size_t from,
                                         SearchStats* stats) const {
   const size_t n = text.size();
-  const char* d = text.data();
+  const unsigned char* ud = reinterpret_cast<const unsigned char*>(text.data());
   const unsigned char lead = static_cast<unsigned char>(lead_);
 
-  // Anchored verification: walk the forward trie; the first terminal is
-  // the shortest match at the anchor, i.e. (occurrences cannot overlap)
-  // the minimal-end occurrence.
+  // Anchored verification: the shortest keyword at the anchor is, as
+  // occurrences cannot overlap, the minimal-end occurrence.
   size_t prev = from;  // one past the previous candidate (shift stats)
   auto verify = [&](size_t s) -> Match {
+    size_t inspected = 0;
+    const int pat = anchored_->Match(ud, n, s, &inspected);
     if (stats != nullptr) {
       if (s > prev) {
         ++stats->shifts;
         stats->shift_chars += s - prev;
       }
       prev = s + 1;
+      stats->comparisons += inspected;
     }
-    int32_t node = 0;
-    for (size_t k = s; k < n; ++k) {
-      if (stats != nullptr) ++stats->comparisons;
-      node = fwd_[static_cast<size_t>(node)]
-                 .next[static_cast<unsigned char>(d[k])];
-      if (node < 0) return {};
-      int32_t pat = fwd_[static_cast<size_t>(node)].pattern;
-      if (pat >= 0) return {s, pat};
-    }
-    return {};
+    return pat >= 0 ? Match{s, pat} : Match{};
   };
 
-  // Candidate scan: pop every lead-byte hit out of each 64-byte block's
-  // dispatched bitmap (simd/simd.h), ANDed with the filter bitmap of the
-  // bytes filter_offset_ further on. Hits come in ascending text order
+  // Candidate scan: lead-byte hits whose byte filter_offset_ further on is
+  // in the filter set, one span scan (simd/simd.h) per block holding hits.
+  // A lead byte within fd bytes of the end starts no occurrence (fd <
+  // wmin), so candidates stop at n - fd. Hits pop in ascending text order
   // under every tier, so matches and stats are tier-independent.
   const simd::Kernels& kn = simd::Active();
-  const unsigned char* ud = reinterpret_cast<const unsigned char*>(d);
   const size_t fd = filter_offset_;
-  size_t k = from;
-  while (k < n) {
-    const size_t avail = n - k;
-    const size_t take = avail < simd::kBlock ? avail : simd::kBlock;
-    uint64_t hits;
-    if (avail >= simd::kBlock + fd) {
-      hits = kn.eq64(ud + k, lead);
-      if (fd != 0 && hits != 0) hits &= kn.any64(ud + k + fd, filter_set_);
-    } else {
-      hits = simd::EqMaskTail(ud + k, take, lead);
-      // A lead byte within fd bytes of the end starts no occurrence
-      // (fd < wmin), so its filter bit stays 0.
-      if (fd != 0 && hits != 0) {
-        hits &= avail > fd
-                    ? simd::AnyMaskTail(ud + k + fd, avail - fd, filter_set_)
-                    : 0;
-      }
-    }
-    while (hits != 0) {
-      size_t s = k + simd::NextSetBit(hits);
-      Match m = verify(s);
+  const size_t limit = n - fd;
+  for (size_t k = from; k < limit;) {
+    const simd::SpanHit h =
+        fd == 0 ? kn.eq_span(ud, k, limit, lead)
+                : kn.lead_any_span(ud, k, limit, lead, fd, filter_set_);
+    if (h.mask == 0) break;
+    for (uint64_t hits = h.mask; hits != 0;
+         hits = simd::ClearLowestBit(hits)) {
+      Match m = verify(h.pos + simd::NextSetBit(hits));
       if (m.found()) return m;
-      hits = simd::ClearLowestBit(hits);
     }
-    k += take;
+    k = h.pos + simd::kBlock;
   }
   if (stats != nullptr && n > prev) {
     ++stats->shifts;

@@ -7,7 +7,10 @@
 #define SMPX_STRMATCH_COMMENTZ_WALTER_H_
 
 #include <array>
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "simd/simd.h"
@@ -40,6 +43,48 @@ struct ReverseTrie {
   size_t wmax = 0;  // longest pattern length
 };
 
+/// Path-compressed forward trie over a keyword set, for anchored
+/// verification at a candidate position. Each node holds an edge label
+/// compared by word loads (strmatch/word_compare.h) and its children's
+/// first label bytes side by side, so a verification visits at most one
+/// node per keyword byte and never touches nodes off its path; the
+/// per-candidate cost is bounded by keyword length, not vocabulary size.
+/// A keyword that extends a shorter one is unreachable (the walk stops at
+/// the shorter one) and is not stored.
+class AnchoredTrie {
+ public:
+  /// All patterns non-empty; at least one pattern.
+  explicit AnchoredTrie(const std::vector<std::string>& patterns);
+
+  /// The shortest keyword occurring at text[s..n) -- the earliest pattern
+  /// index among duplicates -- or -1. `*inspected` receives the bytes a
+  /// byte-at-a-time trie walk inspects: the keyword's length on a match,
+  /// else min(1 + the longest common prefix with any keyword, n - s).
+  int Match(const unsigned char* text, size_t n, size_t s,
+            size_t* inspected) const;
+
+ private:
+  struct Node {
+    uint32_t label = 0;         // offset of the edge label in labels_
+    uint32_t label_len = 0;
+    int32_t pattern = -1;       // keyword ending at the label's end
+    uint32_t first_child = 0;   // children: nodes_[first_child, +num_children)
+    uint32_t num_children = 0;
+  };
+
+  struct Key {
+    std::string_view word;
+    int32_t index;
+  };
+
+  void Build(uint32_t v, const std::vector<Key>& keys, size_t lo, size_t hi,
+             size_t depth);
+
+  std::vector<Node> nodes_;           // nodes_[0] is the root
+  std::vector<unsigned char> first_;  // first label byte of each node
+  std::string labels_;
+};
+
 }  // namespace detail
 
 /// Commentz-Walter algorithm B: combines per-character shifts with the
@@ -70,25 +115,19 @@ class CommentzWalterMatcher : public Matcher {
   std::vector<size_t> shift1_;          // per trie node
   std::vector<size_t> shift2_;          // per trie node
 
-  // memchr fast path: usable when every pattern starts with the same byte
-  // and that byte never recurs inside any pattern (always true for the
-  // prefilter's "<t"/"</t" vocabularies). Occurrences then cannot overlap,
-  // so a memchr-for-the-lead candidate scan with anchored verification is
-  // exact under the minimal-end contract. Verification walks a *forward*
-  // trie over the patterns (one node lookup per text byte, regardless of
-  // the vocabulary size); the first terminal reached is the shortest match
-  // at the anchor, i.e. the minimal-end occurrence.
-  struct ForwardTrieNode {
-    std::array<int32_t, 256> next;  // -1 when absent
-    int32_t pattern = -1;           // pattern ending exactly here
-
-    ForwardTrieNode() { next.fill(-1); }
-  };
-
+  // Bitmap fast path: usable when every pattern starts with the same
+  // byte and that byte never recurs inside any pattern (always true for
+  // the prefilter's "<t"/"</t" vocabularies). Occurrences then cannot
+  // overlap, so a lead-byte candidate scan with anchored verification is
+  // exact under the minimal-end contract. Verification matches the
+  // shortest keyword at the anchor (the minimal-end occurrence) in a
+  // path-compressed forward trie, and counts the bytes a byte-at-a-time
+  // walk of the full forward trie would inspect, so SearchStats stay those
+  // of the byte walk.
   bool fast_path_ = false;
   bool skip_loops_ = true;  // bitmap candidate scan (see set_skip_loops)
   char lead_ = 0;
-  std::vector<ForwardTrieNode> fwd_;  // rooted at fwd_[0]'s lead child
+  std::optional<detail::AnchoredTrie> anchored_;  // fast path only
 
   // Exact candidate filter of the fast path: an occurrence at s has
   // text[s + d] == p[d] for every d < wmin, so a lead byte whose byte at

@@ -7,9 +7,6 @@
 
 #include "simd/simd.h"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <cstdlib>
 #include <cstring>
 #include <random>
@@ -17,6 +14,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "guarded_buffer.h"
 
 namespace smpx::simd {
 namespace {
@@ -62,31 +61,61 @@ class IsaGuard {
   Isa saved_;
 };
 
-/// Maps `pages + 1` pages and revokes all access to the last one, returning
-/// a writable region whose end abuts an unreadable page. Any kernel or tail
-/// helper that reads one byte past the permitted length faults.
-class GuardedBuffer {
- public:
-  explicit GuardedBuffer(size_t pages = 1) {
-    page_ = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    size_ = page_ * pages;
-    base_ = static_cast<unsigned char*>(
-        mmap(nullptr, size_ + page_, PROT_READ | PROT_WRITE,
-             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
-    EXPECT_NE(base_, MAP_FAILED);
-    EXPECT_EQ(mprotect(base_ + size_, page_, PROT_NONE), 0);
+using smpx::testing::GuardedBuffer;
+
+/// The span oracle: the first block start+64k (k >= 0) below `limit` whose
+/// candidates i in [block, min(block + 64, limit)) satisfy `pred`.
+template <typename Pred>
+SpanHit NaiveSpan(size_t start, size_t limit, const Pred& pred) {
+  for (size_t b = start; b < limit; b += 64) {
+    uint64_t m = 0;
+    for (size_t i = b; i < limit && i < b + 64; ++i) {
+      if (pred(i)) m |= uint64_t{1} << (i - b);
+    }
+    if (m != 0) return {b, m};
   }
-  ~GuardedBuffer() { munmap(base_, size_ + page_); }
+  return {limit, 0};
+}
 
-  /// A pointer `len` bytes before the guard page.
-  unsigned char* EndMinus(size_t len) { return base_ + size_ - len; }
-  size_t size() const { return size_; }
+bool InSet(unsigned char c, const ByteSet& set) {
+  for (unsigned j = 0; j < set.n; ++j) {
+    if (c == set.chars[j]) return true;
+  }
+  return false;
+}
 
- private:
-  unsigned char* base_ = nullptr;
-  size_t size_ = 0;
-  size_t page_ = 0;
-};
+/// Every span kernel of the active tier at (start, limit) against the
+/// oracle. `p` must be readable through limit + 7.
+void ExpectSpansMatchOracle(const unsigned char* p, size_t start,
+                            size_t limit, const std::string& what) {
+  static constexpr ByteSet kSet("<>\"'-]?");
+  static constexpr ByteSet kFilter("ab");
+  const Kernels& k = Active();
+  auto same = [&](SpanHit got, SpanHit want, const char* kernel) {
+    EXPECT_EQ(got.pos, want.pos) << kernel << " " << what;
+    EXPECT_EQ(got.mask, want.mask) << kernel << " " << what;
+  };
+  for (unsigned char c : {'<', '-', 'z'}) {
+    same(k.eq_span(p, start, limit, c),
+         NaiveSpan(start, limit, [&](size_t i) { return p[i] == c; }),
+         "eq_span");
+  }
+  same(k.any_span(p, start, limit, kSet),
+       NaiveSpan(start, limit, [&](size_t i) { return InSet(p[i], kSet); }),
+       "any_span");
+  for (size_t delta : {0u, 1u, 2u, 7u}) {
+    same(k.pair_span(p, start, limit, delta, '<', '>'),
+         NaiveSpan(start, limit,
+                   [&](size_t i) { return p[i] == '<' && p[i + delta] == '>'; }),
+         "pair_span");
+    same(k.lead_any_span(p, start, limit, '<', delta, kFilter),
+         NaiveSpan(start, limit,
+                   [&](size_t i) {
+                     return p[i] == '<' && InSet(p[i + delta], kFilter);
+                   }),
+         "lead_any_span");
+  }
+}
 
 TEST(SimdDispatchTest, ScalarAndSwarAlwaysAvailable) {
   EXPECT_TRUE(IsaAvailable(Isa::kScalar));
@@ -128,32 +157,32 @@ TEST(SimdDispatchTest, ParseIsaRoundTrips) {
   EXPECT_FALSE(ParseIsa("", &parsed));
 }
 
-// Every tier's full-block kernels agree with the per-byte oracle at every
-// alignment within a block (the corpus is larger than alignment + 64 + the
-// largest pair delta, so all loads are in-bounds).
-TEST(SimdKernelTest, FullBlockKernelsMatchOracleAtEveryAlignment) {
+// Every tier's span kernels agree with the oracle (and so with the scalar
+// tier) for every start and every limit 0..200, on a corpus dense in probe
+// bytes (the first block hits) and on a sparse one (the loop runs several
+// empty blocks first, and the staged partial block decides).
+TEST(SimdKernelTest, SpanKernelsMatchOracleForEveryStartAndLimit) {
   IsaGuard guard;
-  const std::vector<unsigned char> corpus = MakeCorpus(64 + 64 + 8, 1);
-  static constexpr ByteSet kSet("<>\"'-]?");
+  std::vector<unsigned char> sparse(200 + 8, 'x');
+  for (size_t i = 37; i + 2 < sparse.size(); i += 61) {
+    sparse[i] = '<';
+    sparse[i + 2] = i % 2 ? 'a' : '>';
+  }
+  sparse[150] = '-';
+  const std::vector<std::vector<unsigned char>> corpora = {
+      MakeCorpus(200 + 8, 1), sparse};
   for (Isa isa : AvailableIsas()) {
     ASSERT_EQ(SetIsa(isa), isa);
-    const Kernels& k = Active();
-    for (size_t align = 0; align < 64; ++align) {
-      const unsigned char* p = corpus.data() + align;
-      for (unsigned char c : {'<', '>', '"', '\'', '-', ']', '?', 'z'}) {
-        EXPECT_EQ(k.eq64(p, c), NaiveEq(p, 64, c))
-            << IsaName(isa) << " eq64 align=" << align << " c=" << c;
-      }
-      EXPECT_EQ(k.any64(p, kSet), NaiveAny(p, 64, kSet))
-          << IsaName(isa) << " any64 align=" << align;
-      for (size_t delta : {1u, 2u, 7u}) {
-        uint64_t want = 0;
-        for (size_t i = 0; i < 64; ++i) {
-          if (p[i] == '<' && p[i + delta] == '>') want |= uint64_t{1} << i;
+    for (size_t c = 0; c < corpora.size(); ++c) {
+      for (size_t limit = 0; limit <= 200; ++limit) {
+        for (size_t start = 0; start <= limit; ++start) {
+          ExpectSpansMatchOracle(corpora[c].data(), start, limit,
+                                 std::string(IsaName(isa)) + " corpus=" +
+                                     std::to_string(c) +
+                                     " start=" + std::to_string(start) +
+                                     " limit=" + std::to_string(limit));
+          if (::testing::Test::HasFailure()) return;
         }
-        EXPECT_EQ(k.pair64(p, delta, '<', '>'), want)
-            << IsaName(isa) << " pair64 align=" << align
-            << " delta=" << delta;
       }
     }
   }
@@ -214,6 +243,19 @@ TEST(SimdKernelTest, TailHelpersNeverReadPastEndGuardPage) {
       (void)FindPattern(d, len, "-->");
       MaskScanner ms(d, len, '<');
       for (size_t q = ms.Next(0); q < len; q = ms.Next(q + 1)) {
+      }
+      // Span kernels whose probe ends exactly at the guard page.
+      const Kernels& k = Active();
+      for (size_t start = 0; start <= len; start += 13) {
+        (void)k.eq_span(p, start, len, '<');
+        (void)k.any_span(p, start, len, kSet);
+        for (size_t delta : {1u, 5u}) {
+          if (len < delta) continue;
+          (void)k.pair_span(p, start < len - delta ? start : len - delta,
+                            len - delta, delta, '<', '>');
+          (void)k.lead_any_span(p, start < len - delta ? start : len - delta,
+                                len - delta, '<', delta, kSet);
+        }
       }
     }
   }
@@ -290,47 +332,48 @@ TEST(SimdFindTest, MaskScannerMatchesMemchrEnumeration) {
   }
 }
 
-// Fuzz: all tiers produce bitwise-identical masks on random inputs at
-// random alignments/lengths, with scalar as the oracle.
+// Fuzz: all tiers produce bitwise-identical span hits and tail masks on
+// random inputs at random starts/limits, with scalar as the oracle.
 TEST(SimdKernelTest, FuzzAllTiersAgainstScalar) {
   IsaGuard guard;
   std::mt19937 rng(99);
   const std::vector<Isa> isas = AvailableIsas();
   for (int round = 0; round < 200; ++round) {
-    // 63 (max align) + 7 (max delta) + 130 (max tail len) < 256, so every
-    // tail helper's staged read stays inside the corpus.
+    // 63 (max align) + 7 (max delta) + 130 (max limit) < 256, so every
+    // probe stays inside the corpus.
     const std::vector<unsigned char> corpus =
         MakeCorpus(256, 1000 + static_cast<uint32_t>(round));
     const size_t align = rng() % 64;
     const size_t len = rng() % 130;
+    const size_t start = len == 0 ? 0 : rng() % len;
     const unsigned char c =
         static_cast<unsigned char>("<>\"'-]?x"[rng() % 8]);
     const size_t delta = 1 + rng() % 7;
     const unsigned char* p = corpus.data() + align;
     static constexpr ByteSet kSet("<>\"'-]?");
+    static constexpr ByteSet kFilter("]?x");
 
+    auto run = [&] {
+      const Kernels& k = Active();
+      const SpanHit hits[] = {
+          k.eq_span(p, start, len, c), k.any_span(p, start, len, kSet),
+          k.pair_span(p, start, len, delta, c, '>'),
+          k.lead_any_span(p, start, len, c, delta, kFilter)};
+      std::vector<uint64_t> out;
+      for (const SpanHit& h : hits) {
+        out.push_back(h.pos);
+        out.push_back(h.mask);
+      }
+      out.push_back(EqMaskTail(p, len, c));
+      out.push_back(AnyMaskTail(p, len, kSet));
+      out.push_back(PairMaskTail(p, len, delta, c, '>'));
+      return out;
+    };
     SetIsa(Isa::kScalar);
-    const uint64_t ref_full_eq = Active().eq64(p, c);
-    const uint64_t ref_full_any = Active().any64(p, kSet);
-    const uint64_t ref_full_pair = Active().pair64(p, delta, c, '>');
-    const uint64_t ref_tail_eq = EqMaskTail(p, len, c);
-    const uint64_t ref_tail_any = AnyMaskTail(p, len, kSet);
-    const uint64_t ref_tail_pair = PairMaskTail(p, len, delta, c, '>');
-
+    const std::vector<uint64_t> want = run();
     for (Isa isa : isas) {
       SetIsa(isa);
-      EXPECT_EQ(Active().eq64(p, c), ref_full_eq)
-          << IsaName(isa) << " round=" << round;
-      EXPECT_EQ(Active().any64(p, kSet), ref_full_any)
-          << IsaName(isa) << " round=" << round;
-      EXPECT_EQ(Active().pair64(p, delta, c, '>'), ref_full_pair)
-          << IsaName(isa) << " round=" << round;
-      EXPECT_EQ(EqMaskTail(p, len, c), ref_tail_eq)
-          << IsaName(isa) << " round=" << round;
-      EXPECT_EQ(AnyMaskTail(p, len, kSet), ref_tail_any)
-          << IsaName(isa) << " round=" << round;
-      EXPECT_EQ(PairMaskTail(p, len, delta, c, '>'), ref_tail_pair)
-          << IsaName(isa) << " round=" << round;
+      EXPECT_EQ(run(), want) << IsaName(isa) << " round=" << round;
     }
   }
 }
