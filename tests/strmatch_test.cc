@@ -4,6 +4,7 @@
 // on representative inputs).
 
 #include <algorithm>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,6 +17,9 @@
 #include "strmatch/matcher.h"
 #include "strmatch/naive.h"
 #include "simd/simd.h"
+#include "strmatch/word_compare.h"
+
+#include "guarded_buffer.h"
 
 namespace smpx::strmatch {
 namespace {
@@ -374,6 +378,237 @@ TEST(CommentzWalterTest, CandidateFilterStaysOffWithoutAValidOffset) {
         EXPECT_EQ(r.pos, at) << p;
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Verify parity: the word-wise verifiers must report exactly what the
+// per-byte loops they replaced report -- the match, and the comparisons,
+// shifts and shift characters that feed the paper's measurement columns.
+// Every text ends in one planted keyword (with byte j replaced, for every
+// j, or intact) whose last byte sits just before a PROT_NONE page, so an
+// over-read faults; it runs under every simd tier.
+// ---------------------------------------------------------------------------
+
+constexpr char kFiller = '\x01';  // in no keyword: starts no candidate
+
+/// "<" followed by len - 1 name letters (cycling a..z).
+std::string TagKeyword(size_t len, size_t salt = 0) {
+  std::string kw = "<";
+  for (size_t i = 1; i < len; ++i) {
+    kw.push_back(static_cast<char>('a' + (i * 7 + salt) % 26));
+  }
+  return kw;
+}
+
+/// Per-byte reference of one Boyer-Moore verification: the compares of
+/// the right-to-left loop.
+uint64_t RefBmCompares(std::string_view window, std::string_view kw) {
+  uint64_t compares = 0;
+  for (size_t j = kw.size(); j > 0; --j) {
+    ++compares;
+    if (window[j - 1] != kw[j - 1]) break;
+  }
+  return compares;
+}
+
+/// Per-byte reference of one Commentz-Walter verification at `s`: a
+/// forward trie walk, one compare per byte; the first keyword completed
+/// (earliest index among equals) is the match.
+int RefCwVerify(const std::vector<std::string>& kws, std::string_view text,
+                size_t s, uint64_t* compares) {
+  for (size_t d = 0; s + d < text.size(); ++d) {
+    ++*compares;
+    bool alive = false;
+    for (size_t i = 0; i < kws.size(); ++i) {
+      if (kws[i].size() <= d ||
+          text.substr(s, d + 1) != std::string_view(kws[i]).substr(0, d + 1)) {
+        continue;
+      }
+      if (kws[i].size() == d + 1) return static_cast<int>(i);
+      alive = true;
+    }
+    if (!alive) return -1;
+  }
+  return -1;
+}
+
+/// Copies `text` flush against the guard page and searches it from 0
+/// under every tier; every tier must report the same match and stats.
+Match GuardedSearch(const Matcher& m, const std::string& text,
+                    SearchStats* stats) {
+  testing::GuardedBuffer gb((text.size() >> 12) + 1);
+  unsigned char* p = gb.EndMinus(text.size());
+  std::memcpy(p, text.data(), text.size());
+  const std::string_view view(reinterpret_cast<const char*>(p), text.size());
+  const simd::Isa saved = simd::ActiveIsa();
+  Match first;
+  for (simd::Isa isa : simd::AvailableIsas()) {
+    simd::SetIsa(isa);
+    SearchStats st;
+    const Match r = m.Search(view, 0, &st);
+    if (isa == simd::Isa::kScalar) {
+      first = r;
+      *stats = st;
+    }
+    EXPECT_EQ(r.pos, first.pos) << simd::IsaName(isa);
+    EXPECT_EQ(r.pattern, first.pattern) << simd::IsaName(isa);
+    EXPECT_EQ(st.comparisons, stats->comparisons) << simd::IsaName(isa);
+    EXPECT_EQ(st.shifts, stats->shifts) << simd::IsaName(isa);
+    EXPECT_EQ(st.shift_chars, stats->shift_chars) << simd::IsaName(isa);
+  }
+  simd::SetIsa(saved);
+  return first;
+}
+
+TEST(WordCompareTest, MismatchIndicesMatchByteLoops) {
+  for (size_t len = 0; len <= 40; ++len) {
+    const std::string a = TagKeyword(len + 1).substr(1);
+    for (size_t j = 0; j <= len; ++j) {  // j == len: equal ranges
+      for (size_t k = j; k <= len; ++k) {  // a second mismatch at k
+        std::string b = a;
+        if (j < len) b[j] = kFiller;
+        if (k < len) b[k] = kFiller;
+        const auto* ua = reinterpret_cast<const unsigned char*>(a.data());
+        const auto* ub = reinterpret_cast<const unsigned char*>(b.data());
+        size_t first = len;
+        size_t last = len;
+        for (size_t i = 0; i < len; ++i) {
+          if (a[i] != b[i]) {
+            if (first == len) first = i;
+            last = i;
+          }
+        }
+        EXPECT_EQ(detail::FirstMismatch(ua, ub, len), first)
+            << "len=" << len << " j=" << j << " k=" << k;
+        EXPECT_EQ(detail::LastMismatch(ua, ub, len), last)
+            << "len=" << len << " j=" << j << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(VerifyParityTest, BoyerMooreMatchesPerByteVerify) {
+  for (size_t m = 1; m <= 40; ++m) {
+    const std::string kw = TagKeyword(m);
+    BoyerMooreMatcher bm(kw);
+    BoyerMooreMatcher classical(kw);
+    classical.set_skip_loops(false);
+    for (size_t lead : {size_t{0}, size_t{37}}) {
+      int filtered = 0;
+      for (size_t j = 0; j <= m; ++j) {  // j == m: the intact keyword
+        std::string planted = kw;
+        if (j < m) planted[j] = kFiller;
+        const std::string text = std::string(lead, kFiller) + planted;
+        const std::string what =
+            kw + " j=" + std::to_string(j) + " lead=" + std::to_string(lead);
+        SearchStats st;
+        const Match r = GuardedSearch(bm, text, &st);
+        if (j == m) {
+          EXPECT_EQ(r.pos, lead) << what;
+          EXPECT_EQ(st.comparisons, m) << what;
+          EXPECT_EQ(st.shifts, lead > 0 ? 1u : 0u) << what;
+          EXPECT_EQ(st.shift_chars, lead) << what;
+          continue;
+        }
+        EXPECT_FALSE(r.found()) << what;
+        if (st.comparisons == 0) {  // a probe byte was replaced
+          ++filtered;
+          EXPECT_EQ(st.shifts, 1u) << what;
+          EXPECT_EQ(st.shift_chars, lead + 1) << what;
+          continue;
+        }
+        // The shift after the mismatch is the classical one: measure it
+        // on the planted keyword alone, where the classical loop makes
+        // exactly that one verification.
+        SearchStats one;
+        EXPECT_FALSE(classical.Search(planted, 0, &one).found());
+        EXPECT_EQ(st.comparisons, RefBmCompares(planted, kw)) << what;
+        EXPECT_EQ(one.comparisons, RefBmCompares(planted, kw)) << what;
+        EXPECT_EQ(st.shifts, (lead > 0 ? 1u : 0u) + one.shifts) << what;
+        EXPECT_EQ(st.shift_chars, lead + one.shift_chars) << what;
+      }
+      EXPECT_LE(filtered, 2) << kw << ": at most the two probe bytes filter";
+    }
+  }
+}
+
+/// Searches texts ending in `kw` (intact and with each byte replaced)
+/// with a CW matcher over `vocabulary` and checks them against the
+/// per-byte reference walk.
+void ExpectCwMatchesPerByteVerify(const std::vector<std::string>& vocabulary,
+                                  const std::string& kw) {
+  CommentzWalterMatcher cw(vocabulary);
+  for (size_t lead : {size_t{0}, size_t{37}}) {
+    int filtered = 0;
+    for (size_t j = 0; j <= kw.size(); ++j) {
+      std::string planted = kw;
+      if (j < kw.size()) planted[j] = kFiller;
+      const std::string text = std::string(lead, kFiller) + planted;
+      const std::string what = kw + " of " + std::to_string(vocabulary.size()) +
+                               " j=" + std::to_string(j) +
+                               " lead=" + std::to_string(lead);
+      SearchStats st;
+      const Match r = GuardedSearch(cw, text, &st);
+      if (text.size() < cw.min_length()) {  // no search at all
+        EXPECT_FALSE(r.found()) << what;
+        EXPECT_EQ(st.shifts + st.comparisons, 0u) << what;
+        continue;
+      }
+      if (st.comparisons == 0) {  // the lead or the filter byte replaced
+        ++filtered;
+        EXPECT_FALSE(r.found()) << what;
+        EXPECT_EQ(st.shifts, 1u) << what;
+        EXPECT_EQ(st.shift_chars, text.size()) << what;
+        continue;
+      }
+      uint64_t compares = 0;
+      const int want = RefCwVerify(vocabulary, text, lead, &compares);
+      EXPECT_EQ(r.pattern, want) << what;
+      EXPECT_EQ(r.found(), want >= 0) << what;
+      if (want >= 0) {
+        EXPECT_EQ(r.pos, lead) << what;
+      }
+      EXPECT_EQ(st.comparisons, compares) << what;
+      const bool tail_shift = want < 0 && text.size() > lead + 1;
+      EXPECT_EQ(st.shifts, (lead > 0 ? 1u : 0u) + (tail_shift ? 1u : 0u))
+          << what;
+      EXPECT_EQ(st.shift_chars, want >= 0 ? lead : text.size() - 1) << what;
+    }
+    EXPECT_LE(filtered, 2) << kw << ": at most the lead and the filter byte";
+  }
+}
+
+TEST(VerifyParityTest, CommentzWalterMatchesPerByteVerify) {
+  for (size_t m = 1; m <= 40; ++m) {
+    const std::string kw = TagKeyword(m);
+    // Single keyword, and a closing twin sharing the lead.
+    ExpectCwMatchesPerByteVerify({kw}, kw);
+    if (m >= 2) {
+      const std::string closing = "</" + kw.substr(1);
+      ExpectCwMatchesPerByteVerify({kw, closing}, closing);
+    }
+  }
+  // Prefix-sharing: the shorter keyword wins at the anchor.
+  ExpectCwMatchesPerByteVerify({"<item", "<itemref"}, "<itemref");
+  ExpectCwMatchesPerByteVerify({"<itemref", "<item", "</item"}, "<item");
+  // Duplicates resolve to the earliest index.
+  ExpectCwMatchesPerByteVerify({"<name", "<item", "<name"}, "<name");
+  // The text ends inside the only keyword it starts.
+  ExpectCwMatchesPerByteVerify({"<itemref", "<name"}, "<item");
+  // A wide vocabulary (>= 64 keywords, lengths 3..41, opening and
+  // closing): keywords of one salt share long prefixes and branch where
+  // the shorter one ends (its last letter is upper case), so mismatches
+  // land inside labels and at branch points at every depth.
+  std::vector<std::string> wide;
+  for (size_t i = 0; i < 70; ++i) {
+    std::string kw = TagKeyword(2 + i % 39, i / 13) + "A";
+    kw.back() = static_cast<char>('A' + i % 26);
+    wide.push_back(i % 3 == 0 ? "</" + kw.substr(1) : kw);
+  }
+  for (size_t i = 0; i < wide.size(); i += 5) {
+    ExpectCwMatchesPerByteVerify(wide, wide[i]);
+    ExpectCwMatchesPerByteVerify(wide, wide[i].substr(0, wide[i].size() - 1));
   }
 }
 
