@@ -7,6 +7,7 @@
 #ifndef SMPX_SIMD_KERNELS_H_
 #define SMPX_SIMD_KERNELS_H_
 
+#include <cstdint>
 #include <cstring>
 
 #include "simd/simd.h"
@@ -28,17 +29,28 @@ const Kernels& Avx2Kernels();
 const Kernels& NeonKernels();
 #endif
 
+/// How far ahead of the current block a span scan prefetches: one 4 KiB
+/// page. The hardware stream prefetchers stop at page boundaries, and a
+/// document scan (a page-cache mapping larger than the last-level cache)
+/// otherwise stalls on every new page; on the 64 MiB XMark workload this
+/// distance beat 1, 2 and 8 KiB.
+inline constexpr size_t kPrefetchAhead = 4096;
+
 /// The block loop of one span scan. `op(lo, hi)` is the tier's inline block
 /// op: the bitmap of the 64 candidates at lo[0..64), with hi pointing
 /// `delta` bytes further on (the second probe of the pair/lead kernels).
 /// The last partial block is staged through zeroed locals and its bits at
-/// and past `limit` cleared, so nothing at or past limit + delta is read.
+/// and past `limit` cleared, so nothing at or past limit + delta is read
+/// (a prefetch is a hint: it never faults, whatever the address).
 template <typename BlockOp>
 inline SpanHit SpanLoop(const unsigned char* p, size_t start, size_t limit,
                         size_t delta, const BlockOp& op) {
   if (start >= limit) return {limit, 0};
   size_t b = start;
   for (; limit - b >= kBlock; b += kBlock) {
+    // Integer arithmetic: the address may lie past the end of the object.
+    __builtin_prefetch(reinterpret_cast<const void*>(
+        reinterpret_cast<uintptr_t>(p + b) + kPrefetchAhead));
     const uint64_t m = op(p + b, p + b + delta);
     if (m != 0) return {b, m};
   }
