@@ -18,8 +18,6 @@
 // A last row, XM-mix, runs all the workloads as ONE pass over product
 // tables (query::MultiQuery::RunOnBuffer, same columns); each of its
 // outputs must equal that workload's single-query projection.
-// Figures for the seed hot path (std::map tag dispatch, per-byte tag
-// scanning) are archived in bench/results/BENCH_hotpath_micro.before.json.
 //
 //   SMPX_SCALE_MB=64 ./bench_hotpath_micro
 //   SMPX_REPS=5      best-of-N timing (default 3)

@@ -149,29 +149,6 @@ inline uint64_t TakeMask(size_t take) {
   return take >= 64 ? ~uint64_t{0} : ((uint64_t{1} << take) - 1);
 }
 
-// --- one-block bitmaps ------------------------------------------------------
-// The bitmap of the first min(len, 64) positions at p: a span scan bounded
-// to one block, so no tier reads past `len` (window edges, page ends).
-
-inline uint64_t EqMaskTail(const unsigned char* p, size_t len,
-                           unsigned char c) {
-  return Active().eq_span(p, 0, len < kBlock ? len : kBlock, c).mask;
-}
-
-inline uint64_t AnyMaskTail(const unsigned char* p, size_t len,
-                            const ByteSet& set) {
-  return Active().any_span(p, 0, len < kBlock ? len : kBlock, set).mask;
-}
-
-/// Bitmap over alignments i of (p[i] == a && p[i+delta] == b), for
-/// i in [0, min(avail - delta, 64)); `avail` = readable bytes at p.
-inline uint64_t PairMaskTail(const unsigned char* p, size_t avail,
-                             size_t delta, unsigned char a, unsigned char b) {
-  if (avail <= delta) return 0;
-  const size_t n_align = avail - delta < kBlock ? avail - delta : kBlock;
-  return Active().pair_span(p, 0, n_align, delta, a, b).mask;
-}
-
 // --- span scans --------------------------------------------------------------
 
 /// First index in [0, n) with data[i] == c; n when absent.

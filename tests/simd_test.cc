@@ -1,9 +1,8 @@
 // Differential tests for the SIMD structural-classification layer
-// (src/simd/): every available dispatch tier must be bit-identical to the
-// scalar oracle for every classifier, at every alignment within a 64-byte
-// block, for lengths around every boundary the kernels care about, and the
-// tail paths must never read past the end of the input (verified with
-// guard-page allocations).
+// (src/simd/): every available dispatch tier's span kernels must agree with
+// a span oracle (and so with the scalar tier) for every start and limit
+// around the block boundaries, and must never read past the bytes their
+// probe needs (verified with guard-page allocations).
 
 #include "simd/simd.h"
 
@@ -33,24 +32,6 @@ std::vector<unsigned char> MakeCorpus(size_t n, uint32_t seed) {
   return buf;
 }
 
-uint64_t NaiveEq(const unsigned char* p, size_t len, unsigned char c) {
-  uint64_t m = 0;
-  for (size_t i = 0; i < len && i < 64; ++i) {
-    if (p[i] == c) m |= uint64_t{1} << i;
-  }
-  return m;
-}
-
-uint64_t NaiveAny(const unsigned char* p, size_t len, const ByteSet& set) {
-  uint64_t m = 0;
-  for (size_t i = 0; i < len && i < 64; ++i) {
-    for (unsigned j = 0; j < set.n; ++j) {
-      if (p[i] == set.chars[j]) m |= uint64_t{1} << i;
-    }
-  }
-  return m;
-}
-
 /// RAII restore of the dispatch tier around a test body.
 class IsaGuard {
  public:
@@ -77,6 +58,11 @@ SpanHit NaiveSpan(size_t start, size_t limit, const Pred& pred) {
   return {limit, 0};
 }
 
+void ExpectSameHit(SpanHit got, SpanHit want, const std::string& what) {
+  EXPECT_EQ(got.pos, want.pos) << what;
+  EXPECT_EQ(got.mask, want.mask) << what;
+}
+
 bool InSet(unsigned char c, const ByteSet& set) {
   for (unsigned j = 0; j < set.n; ++j) {
     if (c == set.chars[j]) return true;
@@ -93,8 +79,7 @@ void ExpectSpansMatchOracle(const unsigned char* p, size_t start,
   static constexpr ByteSet kFilter(std::string_view("ab\0", 3));
   const Kernels& k = Active();
   auto same = [&](SpanHit got, SpanHit want, const char* kernel) {
-    EXPECT_EQ(got.pos, want.pos) << kernel << " " << what;
-    EXPECT_EQ(got.mask, want.mask) << kernel << " " << what;
+    ExpectSameHit(got, want, std::string(kernel) + " " + what);
   };
   for (unsigned char c : {'<', '-', 'z', '\0'}) {
     same(k.eq_span(p, start, limit, c),
@@ -193,38 +178,10 @@ TEST(SimdKernelTest, SpanKernelsMatchOracleForEveryStartAndLimit) {
   }
 }
 
-// Tail helpers agree with the oracle for every length 0..130 (covering the
-// 0, sub-word, sub-block, exactly-64, and beyond-64 regimes) at mixed
-// alignments, on every tier.
-TEST(SimdKernelTest, TailHelpersMatchOracleForAllShortLengths) {
-  IsaGuard guard;
-  const std::vector<unsigned char> corpus = MakeCorpus(256, 2);
-  static constexpr ByteSet kSet("[]>\"'");
-  for (Isa isa : AvailableIsas()) {
-    ASSERT_EQ(SetIsa(isa), isa);
-    for (size_t len = 0; len <= 130; ++len) {
-      for (size_t align : {0u, 1u, 7u, 31u, 63u}) {
-        const unsigned char* p = corpus.data() + align;
-        EXPECT_EQ(EqMaskTail(p, len, '<'), NaiveEq(p, len, '<'))
-            << IsaName(isa) << " len=" << len << " align=" << align;
-        EXPECT_EQ(AnyMaskTail(p, len, kSet), NaiveAny(p, len, kSet))
-            << IsaName(isa) << " len=" << len << " align=" << align;
-        uint64_t want = 0;
-        if (len > 2) {
-          for (size_t i = 0; i < len - 2 && i < 64; ++i) {
-            if (p[i] == '-' && p[i + 2] == '>') want |= uint64_t{1} << i;
-          }
-        }
-        EXPECT_EQ(PairMaskTail(p, len, 2, '-', '>'), want)
-            << IsaName(isa) << " len=" << len << " align=" << align;
-      }
-    }
-  }
-}
-
-// The tail paths must not read past `len`: run them flush against a
-// PROT_NONE page for every length 0..129. A single over-read segfaults.
-TEST(SimdKernelTest, TailHelpersNeverReadPastEndGuardPage) {
+// Span kernels, and the helpers built on them, must not read past what
+// their probe needs: run them flush against a PROT_NONE page for every
+// length 0..129. A single over-read segfaults.
+TEST(SimdKernelTest, SpanScansNeverReadPastEndGuardPage) {
   IsaGuard guard;
   GuardedBuffer gb;
   static constexpr ByteSet kSet(">\"'");
@@ -235,32 +192,43 @@ TEST(SimdKernelTest, TailHelpersNeverReadPastEndGuardPage) {
       for (size_t i = 0; i < len; ++i) {
         p[i] = static_cast<unsigned char>("<x>'"[i % 4]);
       }
-      EXPECT_EQ(EqMaskTail(p, len, '<'), NaiveEq(p, len, '<'))
-          << IsaName(isa) << " len=" << len;
-      EXPECT_EQ(AnyMaskTail(p, len, kSet), NaiveAny(p, len, kSet))
-          << IsaName(isa) << " len=" << len;
-      (void)PairMaskTail(p, len, 2, '<', '>');
-      // The whole-span helpers route their last partial block through the
-      // same tail staging; exercise them against the guard too.
+      const std::string what =
+          std::string(IsaName(isa)) + " len=" + std::to_string(len);
+      const Kernels& k = Active();
+      for (size_t start = 0; start <= len; start += 13) {
+        ExpectSameHit(k.eq_span(p, start, len, '<'),
+                      NaiveSpan(start, len,
+                                [&](size_t i) { return p[i] == '<'; }),
+                      "eq_span " + what);
+        ExpectSameHit(k.any_span(p, start, len, kSet),
+                      NaiveSpan(start, len,
+                                [&](size_t i) { return InSet(p[i], kSet); }),
+                      "any_span " + what);
+        for (size_t delta : {1u, 5u}) {
+          if (len < delta) continue;
+          const size_t limit = len - delta;  // the second probe ends at len
+          const size_t from = start < limit ? start : limit;
+          ExpectSameHit(k.pair_span(p, from, limit, delta, '<', '>'),
+                        NaiveSpan(from, limit,
+                                  [&](size_t i) {
+                                    return p[i] == '<' && p[i + delta] == '>';
+                                  }),
+                        "pair_span " + what);
+          ExpectSameHit(k.lead_any_span(p, from, limit, '<', delta, kSet),
+                        NaiveSpan(from, limit,
+                                  [&](size_t i) {
+                                    return p[i] == '<' &&
+                                           InSet(p[i + delta], kSet);
+                                  }),
+                        "lead_any_span " + what);
+        }
+      }
       const char* d = reinterpret_cast<const char*>(p);
       (void)FindByte(d, len, 'q');
       (void)FindAny(d, len, kSet);
       (void)FindPattern(d, len, "-->");
       MaskScanner ms(d, len, '<');
       for (size_t q = ms.Next(0); q < len; q = ms.Next(q + 1)) {
-      }
-      // Span kernels whose probe ends exactly at the guard page.
-      const Kernels& k = Active();
-      for (size_t start = 0; start <= len; start += 13) {
-        (void)k.eq_span(p, start, len, '<');
-        (void)k.any_span(p, start, len, kSet);
-        for (size_t delta : {1u, 5u}) {
-          if (len < delta) continue;
-          (void)k.pair_span(p, start < len - delta ? start : len - delta,
-                            len - delta, delta, '<', '>');
-          (void)k.lead_any_span(p, start < len - delta ? start : len - delta,
-                                len - delta, '<', delta, kSet);
-        }
       }
     }
   }
@@ -337,8 +305,8 @@ TEST(SimdFindTest, MaskScannerMatchesMemchrEnumeration) {
   }
 }
 
-// Fuzz: all tiers produce bitwise-identical span hits and tail masks on
-// random inputs at random starts/limits, with scalar as the oracle.
+// Fuzz: all tiers produce bitwise-identical span hits on random inputs at
+// random starts/limits, with scalar as the oracle.
 TEST(SimdKernelTest, FuzzAllTiersAgainstScalar) {
   IsaGuard guard;
   std::mt19937 rng(99);
@@ -369,9 +337,6 @@ TEST(SimdKernelTest, FuzzAllTiersAgainstScalar) {
         out.push_back(h.pos);
         out.push_back(h.mask);
       }
-      out.push_back(EqMaskTail(p, len, c));
-      out.push_back(AnyMaskTail(p, len, kSet));
-      out.push_back(PairMaskTail(p, len, delta, c, '>'));
       return out;
     };
     SetIsa(Isa::kScalar);
