@@ -116,7 +116,8 @@ struct DfaState {
   /// only takes the closing transition when the balance returns to zero.
   bool count_nesting = false;
 
-  // Retained build analysis, consumed by the multi-query product compiler
+  // Retained build analysis, read by the initial-jump computation
+  // (FinishRuntimeTables) and the multi-query product compiler
   // (query::MultiQuery): the DTD-automaton member states of this subset and
   // the token ids of the frontier vocabulary. A product state's sound
   // initial jump is recomputed from the UNION of its non-final components'

@@ -66,6 +66,19 @@ inline SpanHit SpanLoop(const unsigned char* p, size_t start, size_t limit,
   return {limit, 0};
 }
 
+/// One 64-bit block bitmap assembled from lanes of kLane bytes (a word or a
+/// vector): lane_op(lo, hi) returns the kLane LSB-first candidate bits of
+/// the lane at lo, with hi the lane `delta` bytes further on.
+template <size_t kLane, typename LaneOp>
+inline uint64_t BlockOfLanes(const unsigned char* lo, const unsigned char* hi,
+                             const LaneOp& lane_op) {
+  uint64_t mask = 0;
+  for (size_t l = 0; l < kBlock / kLane; ++l) {
+    mask |= lane_op(lo + kLane * l, hi + kLane * l) << (kLane * l);
+  }
+  return mask;
+}
+
 }  // namespace smpx::simd::detail
 
 #endif  // SMPX_SIMD_KERNELS_H_

@@ -36,28 +36,16 @@ struct SetNeedlesNeon {
   unsigned n;
 };
 
-/// One 64-bit block bitmap from four 16-byte vector ops: vec_op(lo, hi)
-/// returns the compare result of the 16 candidates at lo (hi = lo + delta).
-template <typename VecOp>
-inline uint64_t BlockOfVectors(const unsigned char* lo,
-                               const unsigned char* hi, const VecOp& vec_op) {
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    mask |= MoveMask16Neon(vec_op(lo + 16 * v, hi + 16 * v)) << (16 * v);
-  }
-  return mask;
-}
-
 SpanHit EqSpanNeon(const unsigned char* p, size_t start, size_t limit,
                    unsigned char c) {
   const uint8x16_t needle = vdupq_n_u8(c);
   return SpanLoop(
       p, start, limit, 0,
       [needle](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [needle](const unsigned char* l,
-                                               const unsigned char*) {
-          return vceqq_u8(vld1q_u8(l), needle);
-        });
+        return BlockOfLanes<16>(
+            lo, hi, [needle](const unsigned char* l, const unsigned char*) {
+              return MoveMask16Neon(vceqq_u8(vld1q_u8(l), needle));
+            });
       });
 }
 
@@ -67,10 +55,10 @@ SpanHit AnySpanNeon(const unsigned char* p, size_t start, size_t limit,
   return SpanLoop(
       p, start, limit, 0,
       [&needles](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [&needles](const unsigned char* l,
-                                                 const unsigned char*) {
-          return needles.Match(vld1q_u8(l));
-        });
+        return BlockOfLanes<16>(
+            lo, hi, [&needles](const unsigned char* l, const unsigned char*) {
+              return MoveMask16Neon(needles.Match(vld1q_u8(l)));
+            });
       });
 }
 
@@ -81,11 +69,11 @@ SpanHit PairSpanNeon(const unsigned char* p, size_t start, size_t limit,
   return SpanLoop(
       p, start, limit, delta,
       [na, nb](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [na, nb](const unsigned char* l,
-                                               const unsigned char* h) {
-          return vandq_u8(vceqq_u8(vld1q_u8(l), na),
-                          vceqq_u8(vld1q_u8(h), nb));
-        });
+        return BlockOfLanes<16>(
+            lo, hi, [na, nb](const unsigned char* l, const unsigned char* h) {
+              return MoveMask16Neon(vandq_u8(vceqq_u8(vld1q_u8(l), na),
+                                             vceqq_u8(vld1q_u8(h), nb)));
+            });
       });
 }
 
@@ -96,11 +84,12 @@ SpanHit LeadAnySpanNeon(const unsigned char* p, size_t start, size_t limit,
   return SpanLoop(
       p, start, limit, d,
       [nl, &needles](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [nl, &needles](const unsigned char* l,
-                                                     const unsigned char* h) {
-          return vandq_u8(vceqq_u8(vld1q_u8(l), nl),
-                          needles.Match(vld1q_u8(h)));
-        });
+        return BlockOfLanes<16>(
+            lo, hi,
+            [nl, &needles](const unsigned char* l, const unsigned char* h) {
+              return MoveMask16Neon(vandq_u8(vceqq_u8(vld1q_u8(l), nl),
+                                             needles.Match(vld1q_u8(h))));
+            });
       });
 }
 

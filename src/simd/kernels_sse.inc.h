@@ -41,28 +41,16 @@ struct SetNeedlesSse {
   unsigned n;
 };
 
-/// One 64-bit block bitmap from four 16-byte vector ops: vec_op(lo, hi)
-/// returns the compare result of the 16 candidates at lo (hi = lo + delta).
-template <typename VecOp>
-inline uint64_t BlockOfVectors(const unsigned char* lo,
-                               const unsigned char* hi, const VecOp& vec_op) {
-  uint64_t mask = 0;
-  for (size_t v = 0; v < kBlock / 16; ++v) {
-    mask |= MoveMask16(vec_op(lo + 16 * v, hi + 16 * v)) << (16 * v);
-  }
-  return mask;
-}
-
 SpanHit EqSpanSse(const unsigned char* p, size_t start, size_t limit,
                   unsigned char c) {
   const __m128i needle = _mm_set1_epi8(static_cast<char>(c));
   return SpanLoop(
       p, start, limit, 0,
       [needle](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [needle](const unsigned char* l,
-                                               const unsigned char*) {
-          return _mm_cmpeq_epi8(Load16(l), needle);
-        });
+        return BlockOfLanes<16>(
+            lo, hi, [needle](const unsigned char* l, const unsigned char*) {
+              return MoveMask16(_mm_cmpeq_epi8(Load16(l), needle));
+            });
       });
 }
 
@@ -72,10 +60,10 @@ SpanHit AnySpanSse(const unsigned char* p, size_t start, size_t limit,
   return SpanLoop(
       p, start, limit, 0,
       [&needles](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [&needles](const unsigned char* l,
-                                                 const unsigned char*) {
-          return needles.Match(Load16(l));
-        });
+        return BlockOfLanes<16>(
+            lo, hi, [&needles](const unsigned char* l, const unsigned char*) {
+              return MoveMask16(needles.Match(Load16(l)));
+            });
       });
 }
 
@@ -86,11 +74,11 @@ SpanHit PairSpanSse(const unsigned char* p, size_t start, size_t limit,
   return SpanLoop(
       p, start, limit, delta,
       [na, nb](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [na, nb](const unsigned char* l,
-                                               const unsigned char* h) {
-          return _mm_and_si128(_mm_cmpeq_epi8(Load16(l), na),
-                               _mm_cmpeq_epi8(Load16(h), nb));
-        });
+        return BlockOfLanes<16>(
+            lo, hi, [na, nb](const unsigned char* l, const unsigned char* h) {
+              return MoveMask16(_mm_and_si128(_mm_cmpeq_epi8(Load16(l), na),
+                                              _mm_cmpeq_epi8(Load16(h), nb)));
+            });
       });
 }
 
@@ -101,11 +89,12 @@ SpanHit LeadAnySpanSse(const unsigned char* p, size_t start, size_t limit,
   return SpanLoop(
       p, start, limit, d,
       [nl, &needles](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfVectors(lo, hi, [nl, &needles](const unsigned char* l,
-                                                     const unsigned char* h) {
-          return _mm_and_si128(_mm_cmpeq_epi8(Load16(l), nl),
-                               needles.Match(Load16(h)));
-        });
+        return BlockOfLanes<16>(
+            lo, hi,
+            [nl, &needles](const unsigned char* l, const unsigned char* h) {
+              return MoveMask16(_mm_and_si128(_mm_cmpeq_epi8(Load16(l), nl),
+                                              needles.Match(Load16(h))));
+            });
       });
 }
 

@@ -53,26 +53,14 @@ inline uint64_t ByteInSetMask(uint64_t w, const ByteSet& set) {
   return hits;
 }
 
-/// One 64-bit block bitmap from a per-word op: word_op(lo, hi) returns the
-/// 0x80-per-byte hits of the 8 candidates at lo (hi = lo + delta).
-template <typename WordOp>
-inline uint64_t BlockOfWords(const unsigned char* lo, const unsigned char* hi,
-                             const WordOp& word_op) {
-  uint64_t mask = 0;
-  for (size_t w = 0; w < kBlock / 8; ++w) {
-    mask |= Compact(word_op(lo + 8 * w, hi + 8 * w)) << (8 * w);
-  }
-  return mask;
-}
-
 SpanHit EqSpanSwar(const unsigned char* p, size_t start, size_t limit,
                    unsigned char c) {
   return SpanLoop(p, start, limit, 0,
                   [c](const unsigned char* lo, const unsigned char* hi) {
-                    return BlockOfWords(
+                    return BlockOfLanes<8>(
                         lo, hi, [c](const unsigned char* l,
                                     const unsigned char*) {
-                          return ByteEqMask(LoadWord(l), c);
+                          return Compact(ByteEqMask(LoadWord(l), c));
                         });
                   });
 }
@@ -81,10 +69,10 @@ SpanHit AnySpanSwar(const unsigned char* p, size_t start, size_t limit,
                     const ByteSet& set) {
   return SpanLoop(p, start, limit, 0,
                   [&set](const unsigned char* lo, const unsigned char* hi) {
-                    return BlockOfWords(
+                    return BlockOfLanes<8>(
                         lo, hi, [&set](const unsigned char* l,
                                        const unsigned char*) {
-                          return ByteInSetMask(LoadWord(l), set);
+                          return Compact(ByteInSetMask(LoadWord(l), set));
                         });
                   });
 }
@@ -93,11 +81,11 @@ SpanHit PairSpanSwar(const unsigned char* p, size_t start, size_t limit,
                      size_t delta, unsigned char a, unsigned char b) {
   return SpanLoop(p, start, limit, delta,
                   [a, b](const unsigned char* lo, const unsigned char* hi) {
-                    return BlockOfWords(
+                    return BlockOfLanes<8>(
                         lo, hi, [a, b](const unsigned char* l,
                                        const unsigned char* h) {
-                          return ByteEqMask(LoadWord(l), a) &
-                                 ByteEqMask(LoadWord(h), b);
+                          return Compact(ByteEqMask(LoadWord(l), a) &
+                                         ByteEqMask(LoadWord(h), b));
                         });
                   });
 }
@@ -107,13 +95,12 @@ SpanHit LeadAnySpanSwar(const unsigned char* p, size_t start, size_t limit,
   return SpanLoop(
       p, start, limit, d,
       [lead, &set](const unsigned char* lo, const unsigned char* hi) {
-        return BlockOfWords(
+        return BlockOfLanes<8>(
             lo, hi, [lead, &set](const unsigned char* l,
                                  const unsigned char* h) {
               const uint64_t lead_hits = ByteEqMask(LoadWord(l), lead);
-              return lead_hits == 0 ? 0
-                                    : lead_hits &
-                                          ByteInSetMask(LoadWord(h), set);
+              if (lead_hits == 0) return uint64_t{0};
+              return Compact(lead_hits & ByteInSetMask(LoadWord(h), set));
             });
       });
 }
